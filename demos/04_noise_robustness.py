@@ -43,7 +43,8 @@ export_results(result, "csv", "sweep_rows.csv", "sweep_aggregates.csv")
 print("wrote sweep_rows.csv and sweep_aggregates.csv")
 
 # The raw pseudoinverse solution can have small negative eigenvalues
-# under noise; the refinement clips them away without hurting fidelity.
+# under noise; the refinement projects it onto the nearest CPTP map. On
+# these biased tables that costs a little fidelity against the raw solve.
 exact = process_probabilities(make_cnot(), mub_set)
 chi_ref = solve_chi(beta, exact)
 noisy = perturb_probabilities(exact, 0.05, trial_rng(42, 0, 0, 0))

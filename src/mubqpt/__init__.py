@@ -78,7 +78,6 @@ from .tomography import (
     BetaMatrix,
     ChiMatrix,
     ProbabilityTensor,
-    RefinementConfig,
     apply_chi,
     build_beta,
     chi_to_json,

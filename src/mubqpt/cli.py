@@ -19,6 +19,7 @@ import sys
 from .channels import apply_channel, channel_checks, load_kraus, parse_channel_spec
 from .errors import NumericalError, ValidationError
 from .experiments import (
+    NoiseConfig,
     default_mu_grid,
     export_results,
     perturb_probabilities,
@@ -64,7 +65,11 @@ def _read_json(path):
 
 
 def _merge(args: argparse.Namespace, defaults: dict) -> dict:
-    """defaults <- config file <- explicit flags."""
+    """defaults <- config file <- explicit flags.
+
+    Config values pass through the `type=` their flag declares, so a bad
+    value fails the same way it would on the command line.
+    """
     opts = dict(defaults)
     ns = vars(args)
     cfg_path = ns.get("config")
@@ -75,7 +80,14 @@ def _merge(args: argparse.Namespace, defaults: dict) -> dict:
         unknown = sorted(set(obj) - set(defaults))
         if unknown:
             raise ValidationError(f"unknown config keys: {', '.join(unknown)}")
-        opts.update(obj)
+        types = {a.dest: a.type for a in args.parser._actions if a.type is not None}
+        for key, val in obj.items():
+            if key in types and val is not None:
+                try:
+                    val = types[key](val)
+                except (TypeError, ValueError) as exc:
+                    raise ValidationError(f"bad config value {key}={val!r}: {exc}") from exc
+            opts[key] = val
     for key in defaults:
         val = ns.get(key)
         if val is not None:
@@ -227,13 +239,13 @@ def cmd_qpt_run(args) -> None:
     )
     dim = int(_require(opts, "dim"))
     ch = parse_channel_spec(_channel_spec(opts), dim)
+    noise = NoiseConfig(float(opts["mu"]), int(opts["seed"]))  # range checks
     mub_set = generate_mub(dim)
     beta = build_beta(mub_set)
     exact = process_probabilities(ch, mub_set)
     chi_ref = solve_chi(beta, exact)
-    mu = float(opts["mu"])
-    if mu > 0.0:
-        noisy = perturb_probabilities(exact, mu, trial_rng(int(opts["seed"]), 0, 0, 0))
+    if noise.mu > 0.0:
+        noisy = perturb_probabilities(exact, noise.mu, trial_rng(noise.seed, 0, 0, 0))
     else:
         noisy = exact
     chi = solve_chi(beta, noisy)
@@ -241,7 +253,7 @@ def cmd_qpt_run(args) -> None:
         chi = refine_physical(chi, noisy, beta, mub_set)
     fid = process_fidelity(chi_ref, chi)
     print(
-        f"dim={dim} channel={ch.name} mu={mu:g} rank={beta.rank} "
+        f"dim={dim} channel={ch.name} mu={noise.mu:g} rank={beta.rank} "
         f"asymmetry={chi.asymmetry:.3e} residual={chi.forward_residual:.3e} "
         f"fidelity={fid:.10f}",
         file=sys.stderr,
@@ -293,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(subparsers, name, handler, helptext):
         p = subparsers.add_parser(name, help=helptext, description=helptext)
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, parser=p)
         p.add_argument("--config", help="JSON file mirroring the flags; flags override")
         return p
 

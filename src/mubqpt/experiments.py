@@ -26,7 +26,6 @@ from .tomography import (
     BetaMatrix,
     ChiMatrix,
     ProbabilityTensor,
-    RefinementConfig,
     apply_chi,
     build_beta,
     process_fidelity,
@@ -147,7 +146,6 @@ def run_trial(
     refine: bool = False,
     exact: ProbabilityTensor | None = None,
     chi_ref: ChiMatrix | None = None,
-    cfg: RefinementConfig | None = None,
 ) -> TrialResult:
     """One reconstruction under noise: perturb the exact tensor, solve,
     optionally refine, and score against the exact process matrix.
@@ -163,7 +161,7 @@ def run_trial(
     noisy = perturb_probabilities(exact, mu, rng)
     chi = solve_chi(beta, noisy)
     if refine:
-        chi = refine_physical(chi, noisy, beta, mub_set, cfg)
+        chi = refine_physical(chi, noisy, beta, mub_set)
     return TrialResult(chi, process_fidelity(chi_ref, chi))
 
 
@@ -195,7 +193,6 @@ def run_sweep(
     base_seed: int = 0,
     refine: bool = False,
     threads: int | None = None,
-    cfg: RefinementConfig | None = None,
     beta: BetaMatrix | None = None,
 ) -> SweepResult:
     """Full study: every channel at every error amplitude, `trials` times.
@@ -224,7 +221,7 @@ def run_sweep(
         ch, exact, chi_ref = prepared[ch_idx]
         rng = trial_rng(base_seed, ch_idx, mu_idx, trial)
         return run_trial(
-            ch, mub_set, beta, mus[mu_idx], rng, refine, exact=exact, chi_ref=chi_ref, cfg=cfg
+            ch, mub_set, beta, mus[mu_idx], rng, refine, exact=exact, chi_ref=chi_ref
         ).fidelity
 
     rows = []

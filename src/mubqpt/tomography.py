@@ -12,9 +12,10 @@ gives the linear system p = beta chi with
     beta[(b, d), (a, c)] = Tr(P_a P_b P_c P_d),
 
 a (D^2+D)^2-square matrix of rank D^4. The minimum-norm solution comes
-from the Moore-Penrose pseudoinverse kappa; a positive estimate is then
-obtained by descending a penalized deviation function over the
-Cholesky-style parametrization chi = T^dag T.
+from the Moore-Penrose pseudoinverse kappa. The physical estimate is the
+nearest completely positive, trace-preserving map in the Frobenius norm
+of the D^2 x D^2 Choi matrix J = W chi W^dag, where W holds the
+row-major vectorized projectors vec(P_a) as columns.
 """
 from __future__ import annotations
 
@@ -41,7 +42,6 @@ __all__ = [
     "ProbabilityTensor",
     "BetaMatrix",
     "ChiMatrix",
-    "RefinementConfig",
     "state_probabilities",
     "reconstruct_state",
     "process_probabilities",
@@ -61,6 +61,9 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
+
+# round cap of the CPTP projection in refine_physical
+_MAX_ROUNDS = 1000
 
 
 @dataclass(frozen=True)
@@ -110,7 +113,6 @@ class ChiMatrix:
     physical: bool = False
     asymmetry: float = 0.0
     forward_residual: float | None = None
-    tp_penalty: float | None = None
     tp_max_violation: float | None = None
     converged: bool = True
 
@@ -123,23 +125,11 @@ class ChiMatrix:
         object.__setattr__(self, "matrix", m)
 
 
-@dataclass(frozen=True)
-class RefinementConfig:
-    """Settings for the positivity refinement.
-
-    weights: penalty weight per input state (scalar broadcasts to all).
-    max_iterations: cap on accepted descent steps.
-    f_tol: stop when the relative decrease of f falls below this.
-    """
-
-    weights: float | np.ndarray = 10.0
-    max_iterations: int = 5000
-    f_tol: float = 1e-9
-    initial_step: float = 1e-3
-
-
-def _vectors(mub_set: MubSet) -> np.ndarray:
-    return mub_set.vectors()
+def _choi_frame(mub_set: MubSet) -> np.ndarray:
+    """W of shape (D^2, D^2 + D) with columns vec(P_a), row-major, so
+    that the Choi matrix of chi is J = W chi W^dag."""
+    v = mub_set.vectors()
+    return np.einsum("ad,ae->dea", v, v.conj()).reshape(mub_set.dim**2, -1)
 
 
 def state_probabilities(rho, mub_set: MubSet) -> np.ndarray:
@@ -149,7 +139,7 @@ def state_probabilities(rho, mub_set: MubSet) -> np.ndarray:
         raise ValidationError(
             f"state shape {r.shape} does not match dim {mub_set.dim}"
         )
-    v = _vectors(mub_set)
+    v = mub_set.vectors()
     return np.einsum("nd,de,ne->n", v.conj(), r, v).real
 
 
@@ -159,12 +149,12 @@ def reconstruct_state(p, mub_set: MubSet) -> np.ndarray:
     Exact on probabilities of a true state; Hermitian always, positivity
     is the caller's concern for noisy input.
     """
-    n = n_projectors(mub_set.dim)
+    d = mub_set.dim
+    n = n_projectors(d)
     arr = np.asarray(p, dtype=float)
     if arr.shape != (n,):
         raise ValidationError(f"expected {n} probabilities, got shape {arr.shape}")
-    v = _vectors(mub_set)
-    return np.einsum("n,nd,ne->de", arr, v, v.conj()) - np.eye(mub_set.dim)
+    return (_choi_frame(mub_set) @ arr).reshape(d, d) - np.eye(d)
 
 
 def process_probabilities(ch: KrausChannel, mub_set: MubSet) -> ProbabilityTensor:
@@ -174,7 +164,7 @@ def process_probabilities(ch: KrausChannel, mub_set: MubSet) -> ProbabilityTenso
         raise ValidationError(
             f"channel dim {ch.dim} does not match basis dim {mub_set.dim}"
         )
-    v = _vectors(mub_set)
+    v = mub_set.vectors()
     rows = []
     for vec in v:
         out = apply_channel(ch, np.outer(vec, vec.conj()))
@@ -192,7 +182,7 @@ def build_beta(mub_set: MubSet, rank_tol: float = 1e-10) -> BetaMatrix:
     """
     d = mub_set.dim
     n = n_projectors(d)
-    v = _vectors(mub_set)
+    v = mub_set.vectors()
     g = v.conj() @ v.T
     beta = np.einsum("ab,bc,cd,da->bdac", g, g, g, g).reshape(n * n, n * n)
     pinv, rank, sing = svd_pseudoinverse(beta, tol=rank_tol)
@@ -233,7 +223,7 @@ def apply_chi(chi: ChiMatrix, rho, mub_set: MubSet) -> np.ndarray:
         raise ValidationError(
             f"state shape {r.shape} does not match dim {mub_set.dim}"
         )
-    v = _vectors(mub_set)
+    v = mub_set.vectors()
     w = v.conj() @ r @ v.T  # w[a, b] = <a|rho|b>
     return np.einsum("ab,ad,be->de", chi.matrix * w, v, v.conj())
 
@@ -256,12 +246,9 @@ def extract_kraus(
             f"process matrix has eigenvalue {w[0]:.3e} < -{eig_floor:.1e}; "
             "refine to a physical estimate first"
         )
-    v = _vectors(mub_set)
-    ops = []
-    for lam, col in zip(w, u.T):
-        if lam <= keep_tol:
-            continue
-        ops.append(np.sqrt(lam) * np.einsum("a,ad,ae->de", col, v, v.conj()))
+    keep = w > keep_tol
+    cols = _choi_frame(mub_set) @ (u[:, keep] * np.sqrt(w[keep]))
+    ops = list(cols.T.reshape(-1, chi.dim, chi.dim))
     if not ops:
         ops = [np.zeros((chi.dim, chi.dim), dtype=complex)]
     return KrausChannel(chi.dim, tuple(ops), "extracted", {})
@@ -270,17 +257,9 @@ def extract_kraus(
 def constraint_tensor(mub_set: MubSet) -> np.ndarray:
     """K[b, a, c] = Tr(P_a P_b P_c), so that the trace of E(P_b) under a
     process matrix X is sum_{a,c} X[a,c] K[b,a,c]."""
-    v = _vectors(mub_set)
+    v = mub_set.vectors()
     g = v.conj() @ v.T
     return np.einsum("ab,bc,ca->bac", g, g, g)
-
-
-def _lower_cholesky_factor(a: np.ndarray) -> np.ndarray:
-    """Lower-triangular T with T^dag T = a, for Hermitian positive-definite a."""
-    rev = a[::-1, ::-1]
-    ell = np.linalg.cholesky(rev)
-    upper = ell[::-1, ::-1]
-    return upper.conj().T
 
 
 def refinement_objective(
@@ -313,97 +292,61 @@ def refine_physical(
     p: ProbabilityTensor | None,
     beta: BetaMatrix | None,
     mub_set: MubSet,
-    cfg: RefinementConfig | None = None,
 ) -> ChiMatrix:
-    """Positive estimate nearest to chi_raw under trace-preservation penalties.
+    """Nearest CPTP map to chi_raw in the Frobenius norm of the Choi matrix.
 
-    Starts from the clipped-spectrum projection of chi_raw and runs plain
-    gradient descent with step halving on non-decrease. The result is
-    T^dag T, positive semidefinite by construction, with the penalty term
-    value and the worst per-input trace violation recorded. When p and
-    beta are supplied the forward residual |beta chi - p| is reported too.
-    Hitting the iteration cap returns the best iterate with
-    converged=False.
+    Dykstra alternation on J = W chi W^dag between the trace-preserving
+    affine set Tr_out J = I and the positive cone (eigenvalue clip),
+    always ending on the clip. It stops once a round moves J by at most
+    1e-12 |J|, or at the round cap with converged=False. The result maps
+    back by chi = W+ J W+^dag: positive semidefinite by congruence and
+    the minimum-norm process matrix of that map, the gauge that
+    `solve_chi` produces. The worst per-input trace violation is
+    recorded, and the forward residual |beta chi - p| too when p and
+    beta are supplied.
     """
-    cfg = cfg or RefinementConfig()
     d = mub_set.dim
-    n = n_projectors(d)
     target = as_complex_matrix(chi_raw.matrix)
     if chi_raw.dim != d:
         raise ValidationError(f"dim mismatch: chi {chi_raw.dim}, basis {d}")
     if hermiticity_defect(target) > 1e-8:
         raise ValidationError("raw process matrix must be Hermitian")
-    weights = np.broadcast_to(np.asarray(cfg.weights, dtype=float), (n,)).copy()
-    if np.any(weights <= 0):
-        raise ValidationError("penalty weights must be positive")
-    if cfg.max_iterations < 0:
-        raise ValidationError("max_iterations must be >= 0")
+    w = _choi_frame(mub_set)
+    w_pinv, rank, _ = svd_pseudoinverse(w)
+    if rank != d * d:
+        raise NumericalError(f"projector frame rank {rank}, expected D^2 = {d * d}")
 
-    k = constraint_tensor(mub_set)
-
-    # start at the clipped-spectrum projection of the raw estimate; the
-    # tiny ridge keeps the Cholesky factor defined when it is singular
-    w, u = np.linalg.eigh(target)
-    w = np.clip(w, 0.0, None)
-    start = (u * w) @ u.conj().T
-    start = 0.5 * (start + start.conj().T) + 1e-12 * np.eye(n)
-    t = _lower_cholesky_factor(start)
-
-    f, g_re, g_im = refinement_objective(t, target, k, weights)
-    best_t, best_f = t, f
-    converged = cfg.max_iterations == 0
-    step = cfg.initial_step
-    iterations = 0
-    while iterations < cfg.max_iterations:
-        direction = g_re + 1j * g_im
-        gnorm2 = float(np.vdot(direction, direction).real)
-        if gnorm2 == 0.0:
+    x = w @ (0.5 * (target + target.conj().T)) @ w.conj().T
+    tol = 1e-12 * frobenius_norm(x)
+    eye = np.eye(d)
+    q = np.zeros_like(x)  # Dykstra correction of the cone; the affine one vanishes
+    converged = False
+    for _ in range(_MAX_ROUNDS):
+        y = x - np.kron(eye, np.einsum("ijil->jl", x.reshape(d, d, d, d)) - eye) / d
+        lam, u = np.linalg.eigh(y + q)
+        x_new = (u * np.clip(lam, 0.0, None)) @ u.conj().T
+        q = y + q - x_new
+        step = frobenius_norm(x_new - x)
+        x = x_new
+        if step <= tol:
             converged = True
             break
-        accepted = False
-        for _ in range(60):
-            cand = t - step * direction
-            f_new, gr_new, gi_new = refinement_objective(cand, target, k, weights)
-            if f_new < f:
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            # no descent at float resolution along the gradient
-            converged = True
-            break
-        drop = f - f_new
-        t, f, g_re, g_im = cand, f_new, gr_new, gi_new
-        if f < best_f:
-            best_t, best_f = t, f
-        iterations += 1
-        step *= 2.0
-        if drop <= cfg.f_tol * max(1.0, f):
-            converged = True
-            break
-    if not converged:
-        logger.warning(
-            "refinement stopped at the %d-iteration cap with f=%.3e",
-            cfg.max_iterations,
-            best_f,
-        )
+    else:
+        logger.warning("refinement stopped at the %d-round cap", _MAX_ROUNDS)
 
-    x = best_t.conj().T @ best_t
-    x = 0.5 * (x + x.conj().T)
-    c = np.einsum("ac,bac->b", x, k).real
-    tp_penalty = float(np.dot(weights, (c - 1.0) ** 2))
-    tp_max = float(np.abs(c - 1.0).max())
+    chi = w_pinv @ x @ w_pinv.conj().T
+    chi = 0.5 * (chi + chi.conj().T)
+    c = np.einsum("ac,bac->b", chi, constraint_tensor(mub_set)).real
     resid = None
     if p is not None and beta is not None:
-        resid = float(np.linalg.norm(beta.matrix @ x.ravel() - p.values))
+        resid = float(np.linalg.norm(beta.matrix @ chi.ravel() - p.values))
     return ChiMatrix(
         d,
-        x,
+        chi,
         physical=True,
         asymmetry=0.0,
         forward_residual=resid,
-        tp_penalty=tp_penalty,
-        tp_max_violation=tp_max,
+        tp_max_violation=float(np.abs(c - 1.0).max()),
         converged=converged,
     )
 

@@ -28,13 +28,28 @@ def set_d4():
 
 
 @pytest.fixture(scope="session")
+def set_d5():
+    return generate_mub(5)
+
+
+@pytest.fixture(scope="session")
 def beta_d2(set_d2):
     return build_beta(set_d2)
 
 
 @pytest.fixture(scope="session")
+def beta_d3(set_d3):
+    return build_beta(set_d3)
+
+
+@pytest.fixture(scope="session")
 def beta_d4(set_d4):
     return build_beta(set_d4)
+
+
+@pytest.fixture(scope="session")
+def beta_d5(set_d5):
+    return build_beta(set_d5)
 
 
 @pytest.fixture()

@@ -140,6 +140,13 @@ class TestQptRun:
         assert chi.physical
         assert np.linalg.eigvalsh(chi.matrix)[0] >= -1e-10
 
+    @pytest.mark.parametrize("mu", ["2", "-0.5"])
+    def test_rejects_mu_out_of_range(self, capsys, mu):
+        code, _, err = run_cli(
+            capsys, "qpt", "run", "--dim", "2", "--channel", "dep:0.2", "--mu", mu
+        )
+        assert code == 1 and err.startswith("error:")
+
     def test_missing_channel(self, capsys):
         code, _, err = run_cli(capsys, "qpt", "run", "--dim", "2")
         assert code == 1 and "--channel" in err
@@ -180,6 +187,12 @@ class TestSweepCommand:
         cfg.write_text(json.dumps({"dim": 2, "bogus": 1}))
         code, _, err = run_cli(capsys, "sweep", "--config", str(cfg), "--out", "x.csv")
         assert code == 1 and "bogus" in err
+
+    def test_config_rejects_bad_value_type(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dim": 2, "trials": "abc"}))
+        code, _, err = run_cli(capsys, "sweep", "--config", str(cfg), "--out", "x.csv")
+        assert code == 1 and err.startswith("error:") and "trials" in err
 
     def test_repeat_runs_byte_identical(self, capsys, tmp_path):
         argv = ["sweep", "--dim", "2", "--channels", "ad:0.4",

@@ -3,9 +3,9 @@ import pytest
 
 from mubqpt import (
     ChiMatrix,
+    KrausChannel,
     NumericalError,
     ProbabilityTensor,
-    RefinementConfig,
     ValidationError,
     apply_channel,
     apply_chi,
@@ -18,6 +18,7 @@ from mubqpt import (
     make_cnot,
     n_projectors,
     parse_channel_spec,
+    perturb_probabilities,
     process_fidelity,
     process_probabilities,
     projectors,
@@ -30,7 +31,64 @@ from mubqpt import (
     solve_chi,
     state_probabilities,
     trace_distance,
+    trial_rng,
 )
+from mubqpt import tomography
+
+
+def random_stinespring_channel(dim, rank, rng):
+    """Random CPTP map: Kraus operators cut from the Q factor of a
+    (dim*rank x dim) Ginibre matrix, an isometry."""
+    g = rng.normal(size=(dim * rank, dim)) + 1j * rng.normal(size=(dim * rank, dim))
+    v, _ = np.linalg.qr(g)
+    ops = tuple(v[i * dim:(i + 1) * dim] for i in range(rank))
+    return KrausChannel(dim, ops, f"stinespring:{rank}", {})
+
+
+def choi_of_kraus(ch):
+    """J = sum_i vec(A_i) vec(A_i)^dag with row-major vec."""
+    vecs = np.array([a.ravel() for a in ch.operators])
+    return vecs.T @ vecs.conj()
+
+
+def nearby_channel(j, eps, rng):
+    """Random CPTP map near the CPTP map with Choi matrix j: perturb the
+    Kraus operators of its spectral decomposition by eps, then restore
+    trace preservation with A_i -> A_i S^(-1/2), S = sum A_i^dag A_i."""
+    d = int(round(np.sqrt(j.shape[0])))
+    lam, u = np.linalg.eigh(j)
+    keep = lam > 1e-12
+    ops = (u[:, keep] * np.sqrt(lam[keep])).T.reshape(-1, d, d)
+    ops = ops + eps * (rng.normal(size=ops.shape) + 1j * rng.normal(size=ops.shape))
+    s_lam, s_u = np.linalg.eigh(np.einsum("kji,kjl->il", ops.conj(), ops))
+    ops = ops @ ((s_u / np.sqrt(s_lam)) @ s_u.conj().T)
+    return KrausChannel(d, tuple(ops), "nearby", {})
+
+
+def choi_of_chi(chi, mub_set):
+    """J = sum_{a,b} chi[a,b] vec(P_a) vec(P_b)^dag."""
+    w = np.array([pr.matrix.ravel() for pr in projectors(mub_set)]).T
+    return w @ chi.matrix @ w.conj().T
+
+
+# zoo channels at D = 2 and 4, and seeded random channels at D = 2..5
+PROJECTION_CASES = [
+    (2, "dep:0.1"), (2, "ad:0.4"), (2, "bpf:0.25"),
+    (4, "dep:0.1"), (4, "ad:0.4"), (4, "cnot"),
+    (2, "random"), (3, "random"), (4, "random"), (5, "random"),
+]
+
+
+def refinement_case(request, dim, spec, mu):
+    mub_set = request.getfixturevalue(f"set_d{dim}")
+    beta = request.getfixturevalue(f"beta_d{dim}")
+    if spec == "random":
+        ch = random_stinespring_channel(dim, 1, np.random.default_rng(100 + dim))
+    else:
+        ch = parse_channel_spec(spec, dim)
+    noisy = perturb_probabilities(process_probabilities(ch, mub_set), mu, trial_rng(7, dim, 0, 0))
+    raw = solve_chi(beta, noisy)
+    return mub_set, raw, refine_physical(raw, noisy, beta, mub_set)
 
 
 class TestStateProbabilities:
@@ -200,21 +258,54 @@ class TestRefinement:
         refined = refine_physical(raw, p, beta_d2, set_d2)
         assert refined.physical and refined.converged
         assert np.max(np.abs(refined.matrix - raw.matrix)) <= 1e-6
-        assert refined.tp_penalty <= 1e-8
+        assert refined.tp_max_violation <= 1e-10
         assert np.linalg.eigvalsh(refined.matrix)[0] >= -1e-12
 
-    def test_zero_iterations_returns_clip(self, set_d2, beta_d2):
-        p = process_probabilities(parse_channel_spec("dep:0.3", 2), set_d2)
-        raw = solve_chi(beta_d2, p)
-        out = refine_physical(raw, p, beta_d2, set_d2, RefinementConfig(max_iterations=0))
-        assert out.converged  # a zero-iteration budget is honored, not a failure
-        assert np.linalg.eigvalsh(out.matrix)[0] >= -1e-12
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_choi_convention(self, request, dim):
+        mub_set = request.getfixturevalue(f"set_d{dim}")
+        beta = request.getfixturevalue(f"beta_d{dim}")
+        ch = random_stinespring_channel(dim, 2, np.random.default_rng(dim))
+        chi = solve_chi(beta, process_probabilities(ch, mub_set))
+        assert np.max(np.abs(choi_of_chi(chi, mub_set) - choi_of_kraus(ch))) <= 1e-10
 
-    def test_rejects_bad_weights(self, set_d2, beta_d2):
-        p = process_probabilities(parse_channel_spec("dep:0.3", 2), set_d2)
-        raw = solve_chi(beta_d2, p)
-        with pytest.raises(ValidationError):
-            refine_physical(raw, p, beta_d2, set_d2, RefinementConfig(weights=0.0))
+    @pytest.mark.parametrize("mu", [0.05, 0.15])
+    @pytest.mark.parametrize("dim,spec", PROJECTION_CASES)
+    def test_projection_is_cptp(self, request, dim, spec, mu):
+        mub_set, _, out = refinement_case(request, dim, spec, mu)
+        assert out.physical and out.converged
+        assert out.tp_max_violation <= 1e-10
+        assert np.linalg.eigvalsh(choi_of_chi(out, mub_set))[0] >= -1e-10
+
+    @pytest.mark.parametrize("mu", [0.05, 0.15])
+    @pytest.mark.parametrize("dim,spec", PROJECTION_CASES)
+    def test_projection_is_optimal(self, request, dim, spec, mu):
+        # variational inequality of the projection onto the convex CPTP set:
+        # Re<J_raw - J_out, J_phi - J_out> <= 0 for every CPTP phi
+        mub_set, raw, out = refinement_case(request, dim, spec, mu)
+        j_raw = choi_of_chi(raw, mub_set)
+        j_out = choi_of_chi(out, mub_set)
+        rng = np.random.default_rng(200 + dim)
+        worst = -np.inf
+        for _ in range(20):
+            rank = int(rng.integers(1, dim * dim + 1))
+            j_phi = choi_of_kraus(random_stinespring_channel(dim, rank, rng))
+            worst = max(worst, np.vdot(j_raw - j_out, j_phi - j_out).real)
+        # maps close to the estimate probe the first-order optimality that
+        # far-away samples leave slack on
+        for _ in range(20):
+            j_phi = choi_of_kraus(nearby_channel(j_out, 1e-4, rng))
+            worst = max(worst, np.vdot(j_raw - j_out, j_phi - j_out).real)
+        assert worst <= 1e-8
+
+    def test_round_cap_reports_not_converged(self, set_d4, beta_d4, monkeypatch, caplog):
+        monkeypatch.setattr(tomography, "_MAX_ROUNDS", 1)
+        exact = process_probabilities(make_cnot(), set_d4)
+        noisy = perturb_probabilities(exact, 0.15, trial_rng(3, 0, 0, 0))
+        out = refine_physical(solve_chi(beta_d4, noisy), noisy, beta_d4, set_d4)
+        assert not out.converged
+        assert np.linalg.eigvalsh(out.matrix)[0] >= -1e-10  # ends on the clip
+        assert "round cap" in caplog.text
 
     def test_rejects_non_hermitian_raw(self, set_d2):
         m = np.zeros((6, 6), dtype=complex)
