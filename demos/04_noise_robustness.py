@@ -42,7 +42,7 @@ for mu in grid:
 export_results(result, "csv", "sweep_rows.csv", "sweep_aggregates.csv")
 print("wrote sweep_rows.csv and sweep_aggregates.csv")
 
-# The raw pseudoinverse solution can have small negative eigenvalues
+# The raw minimum-norm solution can have small negative eigenvalues
 # under noise; the refinement projects it onto the nearest CPTP map. On
 # these biased tables that costs a little fidelity against the raw solve.
 exact = process_probabilities(make_cnot(), mub_set)

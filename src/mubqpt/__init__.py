@@ -2,7 +2,7 @@
 
 Build maximal MUB sets for prime-power dimensions, simulate channels in
 operator-sum form, reconstruct the process matrix from projector
-probabilities through a pseudoinverse solve, refine it to a positive
+probabilities through the closed-form dual frame, refine it to a positive
 estimate, and study the reconstruction's robustness to measurement
 noise.
 """

@@ -14,7 +14,13 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import ValidationError
-from .numerics import as_complex_matrix, check_density_matrix, frobenius_norm
+from .numerics import (
+    as_complex_matrix,
+    check_density_matrix,
+    frobenius_norm,
+    matrix_from_json,
+    read_json_object,
+)
 from .paulis import SIGMA_X, SIGMA_Y, SIGMA_Z, pauli_string
 
 __all__ = [
@@ -245,18 +251,12 @@ def save_kraus(ch: KrausChannel, path) -> None:
 def load_kraus(path, strict: bool = True) -> KrausChannel:
     """Read a Kraus file. With strict=True the completeness bound
     sum A^dag A <= I is enforced at 1e-10."""
-    from .numerics import matrix_from_json
-
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValidationError(f"cannot read Kraus file {path}: {exc}") from exc
+    obj = read_json_object(path, "Kraus")
     try:
         dim = int(obj["dim"])
         name = str(obj.get("name", "channel"))
         ops = tuple(matrix_from_json(o) for o in obj["operators"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed Kraus file {path}: {exc}") from exc
     ch = KrausChannel(dim, ops, name, {})
     if strict:

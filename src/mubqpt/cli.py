@@ -36,7 +36,7 @@ from .mub import (
     mub_to_json,
     verify_mub,
 )
-from .numerics import check_density_matrix, matrix_from_json, matrix_to_json
+from .numerics import check_density_matrix, matrix_from_json, matrix_to_json, read_json_object
 from .tomography import (
     build_beta,
     chi_to_json,
@@ -56,14 +56,6 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-def _read_json(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from exc
-
-
 def _merge(args: argparse.Namespace, defaults: dict) -> dict:
     """defaults <- config file <- explicit flags.
 
@@ -74,9 +66,7 @@ def _merge(args: argparse.Namespace, defaults: dict) -> dict:
     ns = vars(args)
     cfg_path = ns.get("config")
     if cfg_path:
-        obj = _read_json(cfg_path)
-        if not isinstance(obj, dict):
-            raise ValidationError(f"config {cfg_path} must hold a JSON object")
+        obj = read_json_object(cfg_path, "config")
         unknown = sorted(set(obj) - set(defaults))
         if unknown:
             raise ValidationError(f"unknown config keys: {', '.join(unknown)}")
@@ -202,7 +192,7 @@ def _parse_int_list(text, what: str) -> list[int]:
 
 def cmd_channel_apply(args) -> None:
     opts = _merge(args, {"channel": None, "param": None, "state": None, "out": None})
-    rho = check_density_matrix(matrix_from_json(_read_json(_require(opts, "state"))))
+    rho = check_density_matrix(matrix_from_json(read_json_object(_require(opts, "state"), "state")))
     ch = parse_channel_spec(_channel_spec(opts), rho.shape[0])
     _emit(matrix_to_json(apply_channel(ch, rho)), opts["out"])
 

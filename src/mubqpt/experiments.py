@@ -21,7 +21,7 @@ import numpy as np
 from .channels import KrausChannel, concurrence, make_cnot, parse_channel_spec
 from .errors import ValidationError
 from .mub import MubSet
-from .numerics import check_density_matrix, nearest_density_matrix
+from .numerics import check_density_matrix, nearest_density_matrix, read_json_object
 from .tomography import (
     BetaMatrix,
     ChiMatrix,
@@ -185,6 +185,17 @@ def default_channel_suite() -> list[KrausChannel]:
     ]
 
 
+def _noise_grid(mu_grid, base_seed: int, trials: int) -> list:
+    """The noise grid (the default one for None), every point
+    range-checked through NoiseConfig together with `trials`."""
+    mus = list(mu_grid) if mu_grid is not None else default_mu_grid()
+    if not mus:
+        raise ValidationError("noise grid is empty")
+    for mu in mus:
+        NoiseConfig(mu, base_seed, trials)
+    return mus
+
+
 def run_sweep(
     channels,
     mub_set: MubSet,
@@ -205,11 +216,7 @@ def run_sweep(
     channels = list(channels)
     if not channels:
         raise ValidationError("need at least one channel")
-    mus = list(mu_grid) if mu_grid is not None else default_mu_grid()
-    if not mus:
-        raise ValidationError("noise grid is empty")
-    for mu in mus:
-        NoiseConfig(mu, base_seed, trials)  # range checks
+    mus = _noise_grid(mu_grid, base_seed, trials)
     if beta is None:
         beta = build_beta(mub_set)
     prepared = []
@@ -268,9 +275,7 @@ def concurrence_trace(
     rho = check_density_matrix(input_rho, dim=4)
     if mub_set.dim != 4:
         raise ValidationError("concurrence trace requires the two-qubit set")
-    mus = list(mu_grid) if mu_grid is not None else default_mu_grid()
-    if not mus:
-        raise ValidationError("noise grid is empty")
+    mus = _noise_grid(mu_grid, base_seed, trials)
     if beta is None:
         beta = build_beta(mub_set)
     exact = process_probabilities(ch, mub_set)
@@ -352,11 +357,7 @@ def _write_aggregates_csv(aggregates, path) -> None:
 
 def import_results(path) -> SweepResult:
     """Read back a JSON export."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValidationError(f"cannot read results file {path}: {exc}") from exc
+    obj = read_json_object(path, "results")
     try:
         rows = tuple(
             SweepRow(float(r["mu"]), str(r["channel"]), int(r["trial"]),
@@ -368,6 +369,6 @@ def import_results(path) -> SweepResult:
                            float(a["std_fidelity"]), int(a["trials"]))
             for a in obj["aggregates"]
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed results file {path}: {exc}") from exc
     return SweepResult(rows, aggregates)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .numerics import as_complex_matrix, hermiticity_defect
+from .numerics import as_complex_matrix, hermiticity_defect, read_json_object
 from .paulis import pauli_string
 
 __all__ = [
@@ -416,7 +416,7 @@ def mub_from_json(obj) -> MubSet:
             [[[complex(re, im) for re, im in vec] for vec in basis] for basis in raw],
             dtype=complex,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed basis object: {exc}") from exc
     return MubSet(dim, bases, "file")
 
@@ -431,12 +431,7 @@ def save_mub(mub_set: MubSet, path) -> None:
 def load_mub(path, tol: float = 1e-10, verify: bool = True) -> MubSet:
     """Read a basis file; unless verify=False, reject sets failing the
     pairwise-trace check at tol."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValidationError(f"cannot read basis file {path}: {exc}") from exc
-    mub_set = mub_from_json(obj)
+    mub_set = mub_from_json(read_json_object(path, "basis"))
     if verify:
         report = verify_mub(mub_set, tol)
         if not report.passed:

@@ -2,6 +2,8 @@
 norms, distances, and density-matrix utilities used by every other module."""
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
 from .errors import NumericalError, ValidationError
@@ -18,6 +20,7 @@ __all__ = [
     "nearest_density_matrix",
     "matrix_to_json",
     "matrix_from_json",
+    "read_json_object",
 ]
 
 
@@ -145,8 +148,8 @@ def matrix_from_json(obj) -> np.ndarray:
     try:
         rows = int(obj["rows"])
         cols = int(obj["cols"])
-        data = obj["data"]
-    except (KeyError, TypeError, ValueError) as exc:
+        data = list(obj["data"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed matrix object: {exc}") from exc
     if rows <= 0 or cols <= 0:
         raise ValidationError(f"matrix shape ({rows}, {cols}) is not positive")
@@ -156,6 +159,19 @@ def matrix_from_json(obj) -> np.ndarray:
         )
     try:
         flat = np.array([complex(re, im) for re, im in data], dtype=complex)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed matrix entry: {exc}") from exc
     return as_complex_matrix(flat.reshape(rows, cols))
+
+
+def read_json_object(path, what: str) -> dict:
+    """Parse a JSON file whose top level must be an object; unreadable,
+    undecodable or non-object content raises ValidationError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ValidationError(f"cannot read {what} file {path}: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{what} file {path} must hold a JSON object")
+    return obj

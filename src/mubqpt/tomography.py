@@ -11,11 +11,14 @@ gives the linear system p = beta chi with
 
     beta[(b, d), (a, c)] = Tr(P_a P_b P_c P_d),
 
-a (D^2+D)^2-square matrix of rank D^4. The minimum-norm solution comes
-from the Moore-Penrose pseudoinverse kappa. The physical estimate is the
-nearest completely positive, trace-preserving map in the Frobenius norm
-of the D^2 x D^2 Choi matrix J = W chi W^dag, where W holds the
-row-major vectorized projectors vec(P_a) as columns.
+a (D^2+D)^2-square matrix of rank D^4. With W the projector frame
+(columns vec(P_a), row-major) it factors as beta = R L: L maps chi to
+the Choi matrix J = W chi W^dag reshuffled to the superoperator S
+(onto), R maps S to p^T = W^dag S W (one-to-one). MUB sets are
+2-designs, W W^dag = I + |I>><<I|, so beta+ p = W+ J W+^dag with J the
+reshuffle of S = W+^dag p^T W+ and W+^dag = (I - |I>><<I|/(D+1)) W.
+The physical estimate is the nearest completely positive,
+trace-preserving map in the Frobenius norm of J.
 """
 from __future__ import annotations
 
@@ -35,6 +38,7 @@ from .numerics import (
     hermiticity_defect,
     matrix_from_json,
     matrix_to_json,
+    read_json_object,
     svd_pseudoinverse,
 )
 
@@ -75,6 +79,8 @@ class ProbabilityTensor:
     values: np.ndarray
 
     def __post_init__(self):
+        if self.dim < 2:
+            raise ValidationError(f"dimension {self.dim} is below 2")
         v = np.asarray(self.values, dtype=float)
         n = n_projectors(self.dim)
         if v.shape != (n * n,):
@@ -93,14 +99,22 @@ class ProbabilityTensor:
 
 @dataclass(frozen=True)
 class BetaMatrix:
-    """The four-projector trace matrix with its cached pseudoinverse."""
+    """The four-projector trace matrix, held as its read-only projector
+    frame; `matrix` and `pinv` build the dense reference on each read."""
 
     dim: int
-    matrix: np.ndarray
-    pinv: np.ndarray
     rank: int
-    singular_values: np.ndarray
-    pinv_identity_defect: float
+    frame: np.ndarray
+
+    @property
+    def matrix(self) -> np.ndarray:
+        n = n_projectors(self.dim)
+        p = self.frame.T.reshape(n, self.dim, self.dim)
+        return np.einsum("aij,bjk,ckl,dli->bdac", p, p, p, p, optimize=True).reshape(n * n, -1)
+
+    @property
+    def pinv(self) -> np.ndarray:
+        return svd_pseudoinverse(self.matrix)[0]
 
 
 @dataclass(frozen=True)
@@ -130,6 +144,26 @@ def _choi_frame(mub_set: MubSet) -> np.ndarray:
     that the Choi matrix of chi is J = W chi W^dag."""
     v = mub_set.vectors()
     return np.einsum("ad,ae->dea", v, v.conj()).reshape(mub_set.dim**2, -1)
+
+
+def _dual_frame(w: np.ndarray, d: int) -> np.ndarray:
+    """W+^dag = (I - |I>><<I|/(D+1)) W, after checking the frame identity
+    W W^dag = I + |I>><<I| that makes it the pseudoinverse."""
+    eye = np.eye(d).ravel()
+    defect = float(np.abs(w @ w.conj().T - np.eye(d * d) - np.outer(eye, eye)).max())
+    if defect > 1e-10:
+        raise NumericalError(f"projector frame identity defect {defect:.3e} exceeds 1e-10")
+    return w - np.outer(eye, eye @ w) / (d + 1)
+
+
+def _reshuffle(m: np.ndarray, d: int) -> np.ndarray:
+    """Choi matrix <-> superoperator; the index swap is its own inverse."""
+    return m.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+
+
+def _forward(w: np.ndarray, chi: np.ndarray, d: int) -> np.ndarray:
+    """beta chi as the (input, outcome) table (W^dag S W)^T."""
+    return (w.conj().T @ _reshuffle(w @ chi @ w.conj().T, d) @ w).T
 
 
 def state_probabilities(rho, mub_set: MubSet) -> np.ndarray:
@@ -164,54 +198,38 @@ def process_probabilities(ch: KrausChannel, mub_set: MubSet) -> ProbabilityTenso
         raise ValidationError(
             f"channel dim {ch.dim} does not match basis dim {mub_set.dim}"
         )
-    v = mub_set.vectors()
-    rows = []
-    for vec in v:
-        out = apply_channel(ch, np.outer(vec, vec.conj()))
-        rows.append(state_probabilities(out, mub_set))
+    rows = [
+        state_probabilities(apply_channel(ch, np.outer(v, v.conj())), mub_set)
+        for v in mub_set.vectors()
+    ]
     return ProbabilityTensor(mub_set.dim, np.concatenate(rows))
 
 
-def build_beta(mub_set: MubSet, rank_tol: float = 1e-10) -> BetaMatrix:
-    """Assemble beta[(b,d),(a,c)] = Tr(P_a P_b P_c P_d) and cache its
-    pseudoinverse.
-
-    With G the Gram matrix of the basis vectors the trace factors into
-    G[a,b] G[b,c] G[c,d] G[d,a]. The pseudoinverse identity
-    beta kappa beta = beta is checked here once and its defect stored.
-    """
+def build_beta(mub_set: MubSet) -> BetaMatrix:
+    """The transfer matrix of `mub_set` as its projector frame. The
+    frame identity checked here gives beta = R L rank D^4."""
     d = mub_set.dim
-    n = n_projectors(d)
-    v = mub_set.vectors()
-    g = v.conj() @ v.T
-    beta = np.einsum("ab,bc,cd,da->bdac", g, g, g, g).reshape(n * n, n * n)
-    pinv, rank, sing = svd_pseudoinverse(beta, tol=rank_tol)
-    if rank != d**4:
-        raise NumericalError(f"beta rank {rank}, expected D^4 = {d**4}")
-    defect = frobenius_norm(beta @ pinv @ beta - beta)
-    return BetaMatrix(d, beta, pinv, rank, sing, defect)
+    w = _choi_frame(mub_set)
+    _dual_frame(w, d)
+    w.flags.writeable = False
+    return BetaMatrix(d, d**4, w)
 
 
 def solve_chi(beta: BetaMatrix, p: ProbabilityTensor) -> ChiMatrix:
-    """Minimum-norm solve chi = kappa p, then Hermitian symmetrization.
-
-    The recorded asymmetry is the Frobenius norm removed by
-    (M + M^dag)/2; the forward residual is |beta chi - p| after
-    symmetrization.
-    """
+    """Minimum-norm solve chi = beta+ p through the dual frame, then
+    Hermitian symmetrization. The asymmetry is the Frobenius norm that
+    (M + M^dag)/2 removes; the forward residual is |beta chi - p| after."""
     if beta.dim != p.dim:
         raise ValidationError(f"dim mismatch: beta {beta.dim}, p {p.dim}")
-    if beta.pinv_identity_defect > 1e-8:
-        raise NumericalError(
-            f"pseudoinverse identity defect {beta.pinv_identity_defect:.3e} exceeds 1e-8"
-        )
-    n = n_projectors(beta.dim)
-    vec = beta.pinv @ p.values
-    m = vec.reshape(n, n)
+    d = beta.dim
+    n = n_projectors(d)
+    dual = _dual_frame(beta.frame, d)
+    s = dual @ p.values.reshape(n, n).T @ dual.conj().T
+    m = dual.conj().T @ _reshuffle(s, d) @ dual
     asym = frobenius_norm(m - m.conj().T)
     h = 0.5 * (m + m.conj().T)
-    resid = float(np.linalg.norm(beta.matrix @ h.ravel() - p.values))
-    return ChiMatrix(beta.dim, h, physical=False, asymmetry=asym, forward_residual=resid)
+    resid = float(np.linalg.norm(_forward(beta.frame, h, d).ravel() - p.values))
+    return ChiMatrix(d, h, physical=False, asymmetry=asym, forward_residual=resid)
 
 
 def apply_chi(chi: ChiMatrix, rho, mub_set: MubSet) -> np.ndarray:
@@ -298,11 +316,10 @@ def refine_physical(
     Dykstra alternation on J = W chi W^dag between the trace-preserving
     affine set Tr_out J = I and the positive cone (eigenvalue clip),
     always ending on the clip. It stops once a round moves J by at most
-    1e-12 |J|, or at the round cap with converged=False. The result maps
-    back by chi = W+ J W+^dag: positive semidefinite by congruence and
-    the minimum-norm process matrix of that map, the gauge that
-    `solve_chi` produces. The worst per-input trace violation is
-    recorded, and the forward residual |beta chi - p| too when p and
+    1e-12 |J|, or at the round cap with converged=False. Mapped back by
+    chi = W+ J W+^dag, the result is positive semidefinite and the
+    minimum-norm process matrix of that map, as `solve_chi` gives. The
+    worst |Tr E(P_b) - 1| is recorded, and |beta chi - p| when p and
     beta are supplied.
     """
     d = mub_set.dim
@@ -312,9 +329,7 @@ def refine_physical(
     if hermiticity_defect(target) > 1e-8:
         raise ValidationError("raw process matrix must be Hermitian")
     w = _choi_frame(mub_set)
-    w_pinv, rank, _ = svd_pseudoinverse(w)
-    if rank != d * d:
-        raise NumericalError(f"projector frame rank {rank}, expected D^2 = {d * d}")
+    dual = _dual_frame(w, d)
 
     x = w @ (0.5 * (target + target.conj().T)) @ w.conj().T
     tol = 1e-12 * frobenius_norm(x)
@@ -334,21 +349,15 @@ def refine_physical(
     else:
         logger.warning("refinement stopped at the %d-round cap", _MAX_ROUNDS)
 
-    chi = w_pinv @ x @ w_pinv.conj().T
+    chi = dual.conj().T @ x @ dual
     chi = 0.5 * (chi + chi.conj().T)
-    c = np.einsum("ac,bac->b", chi, constraint_tensor(mub_set)).real
+    table = _forward(w, chi, d)  # row b sums Tr(P_s E(P_b)) over each basis
     resid = None
     if p is not None and beta is not None:
-        resid = float(np.linalg.norm(beta.matrix @ chi.ravel() - p.values))
-    return ChiMatrix(
-        d,
-        chi,
-        physical=True,
-        asymmetry=0.0,
-        forward_residual=resid,
-        tp_max_violation=float(np.abs(c - 1.0).max()),
-        converged=converged,
-    )
+        resid = float(np.linalg.norm(table.ravel() - p.values))
+    tp = float(np.abs(table[:, :d].sum(axis=1) - 1.0).max())
+    return ChiMatrix(d, chi, physical=True, forward_residual=resid,
+                     tp_max_violation=tp, converged=converged)
 
 
 def process_fidelity(chi_ref: ChiMatrix, chi_test: ChiMatrix) -> float:
@@ -386,18 +395,12 @@ def save_chi(chi: ChiMatrix, path) -> None:
 
 
 def load_chi(path) -> ChiMatrix:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValidationError(f"cannot read process-matrix file {path}: {exc}") from exc
+    obj = read_json_object(path, "process-matrix")
     if obj.get("index_order") != "gamma-major":
-        raise ValidationError(
-            f"process-matrix file {path} lacks index_order 'gamma-major'"
-        )
+        raise ValidationError(f"process-matrix file {path} lacks index_order 'gamma-major'")
     try:
         dim = int(obj["dim"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed process-matrix file {path}: {exc}") from exc
     m = matrix_from_json(obj)
     if hermiticity_defect(m) > 1e-8:
@@ -414,14 +417,10 @@ def save_probabilities(p: ProbabilityTensor, path) -> None:
 
 
 def load_probabilities(path) -> ProbabilityTensor:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValidationError(f"cannot read probability file {path}: {exc}") from exc
+    obj = read_json_object(path, "probability")
     try:
         dim = int(obj["dim"])
         values = np.asarray(obj["values"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed probability file {path}: {exc}") from exc
     return ProbabilityTensor(dim, values)

@@ -1,9 +1,12 @@
 """Shared fixtures.
 
-The D=4 basis set and its transfer matrix are the expensive objects
-(building beta is ~400x400 complex plus an SVD), so they are session
-scoped and shared across test modules.  Tests must not mutate them;
-the arrays are flagged read-only at construction, which enforces that.
+Basis sets and transfer matrices are session scoped and shared across
+test modules; generating a basis set and checking the frame identity of
+its transfer matrix are the costly steps. Tests must not mutate them;
+the basis arrays and the transfer matrix's projector frame are flagged
+read-only at construction, which enforces that. The dense `matrix` and
+`pinv` of a transfer matrix are rebuilt on every read (`pinv` is an SVD
+of up to 900x900 at D=5).
 """
 
 import numpy as np

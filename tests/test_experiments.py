@@ -173,6 +173,12 @@ class TestConcurrenceTrace:
         for pt in pts:
             assert 0.0 <= pt.mean_concurrence <= 1.0
 
+    @pytest.mark.parametrize("mu_grid,trials", [([2.0], 1), ([0.05], 0)])
+    def test_rejects_out_of_range_noise(self, set_d4, beta_d4, mu_grid, trials):
+        with pytest.raises(ValidationError):
+            concurrence_trace(RHO_PLUS0, make_cnot(), set_d4,
+                              mu_grid=mu_grid, trials=trials, beta=beta_d4)
+
     def test_requires_two_qubit_input(self, set_d4, beta_d4):
         with pytest.raises(ValidationError):
             concurrence_trace(np.eye(2) / 2, make_cnot(), set_d4,

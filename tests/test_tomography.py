@@ -4,6 +4,7 @@ import pytest
 from mubqpt import (
     ChiMatrix,
     KrausChannel,
+    MubSet,
     NumericalError,
     ProbabilityTensor,
     ValidationError,
@@ -13,6 +14,7 @@ from mubqpt import (
     constraint_tensor,
     extract_kraus,
     flat_index,
+    generate_mub,
     load_chi,
     load_probabilities,
     make_cnot,
@@ -167,8 +169,10 @@ class TestBetaMatrix:
     def test_shape_and_rank(self, beta_d2, beta_d4):
         assert beta_d2.matrix.shape == (36, 36) and beta_d2.rank == 16
         assert beta_d4.matrix.shape == (400, 400) and beta_d4.rank == 256
-        assert beta_d2.pinv_identity_defect <= 1e-8
-        assert beta_d4.pinv_identity_defect <= 1e-8
+        for beta in (beta_d2, beta_d4):
+            m, k = beta.matrix, beta.pinv
+            assert np.max(np.abs(m @ k @ m - m)) <= 1e-8
+            assert np.max(np.abs(k @ m @ k - k)) <= 1e-8
 
     def test_rank_d3(self, set_d3):
         assert build_beta(set_d3).rank == 81
@@ -190,6 +194,55 @@ class TestBetaMatrix:
     def test_pseudoinverse_consistency(self, beta_d2):
         m, k = beta_d2.matrix, beta_d2.pinv
         assert np.max(np.abs(m @ k @ m - m)) <= 1e-8
+
+    def test_frame_is_read_only(self, beta_d2):
+        assert beta_d2.frame.shape == (4, 6)
+        with pytest.raises(ValueError):
+            beta_d2.frame[0, 0] = 0.0
+
+    def test_rejects_biased_bases(self):
+        # orthonormal but not unbiased: the frame identity fails
+        biased = MubSet(3, np.stack([np.eye(3)] * 4), "test")
+        with pytest.raises(NumericalError):
+            build_beta(biased)
+
+
+class TestFrameSolve:
+    """The closed-form dual-frame solve against the dense beta and its SVD
+    pseudoinverse, which it replaces."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_matches_dense_reference(self, request, dim):
+        mub_set = request.getfixturevalue(f"set_d{dim}")
+        beta = request.getfixturevalue(f"beta_d{dim}")
+        dense, kappa = beta.matrix, beta.pinv
+        assert np.linalg.matrix_rank(dense) == beta.rank == dim**4
+        n = n_projectors(dim)
+        ch = random_stinespring_channel(dim, 2, np.random.default_rng(300 + dim))
+        exact = process_probabilities(ch, mub_set)
+        tables = [exact] + [perturb_probabilities(exact, mu, trial_rng(11, dim, i, 0))
+                            for i, mu in enumerate((0.05, 0.15))]
+        for p in tables:
+            chi = solve_chi(beta, p)
+            m = (kappa @ p.values).reshape(n, n)
+            assert np.max(np.abs(chi.matrix - 0.5 * (m + m.conj().T))) <= 1e-12
+            resid = np.linalg.norm(dense @ chi.matrix.ravel() - p.values)
+            assert abs(chi.forward_residual - resid) <= 1e-12
+            out = refine_physical(chi, p, beta, mub_set)
+            resid = np.linalg.norm(dense @ out.matrix.ravel() - p.values)
+            assert abs(out.forward_residual - resid) <= 1e-12
+            c = np.einsum("ac,bac->b", out.matrix, constraint_tensor(mub_set)).real
+            assert abs(out.tp_max_violation - np.abs(c - 1.0).max()) <= 1e-12
+
+    @pytest.mark.parametrize("dim", [7, 8])
+    def test_round_trip_beyond_dense_reach(self, dim):
+        mub_set = generate_mub(dim)
+        ch = random_stinespring_channel(dim, 3, np.random.default_rng(400 + dim))
+        chi = solve_chi(build_beta(mub_set), process_probabilities(ch, mub_set))
+        rng = np.random.default_rng(dim)
+        for _ in range(5):
+            rho = random_density_matrix(dim, rng)
+            assert trace_distance(apply_chi(chi, rho, mub_set), apply_channel(ch, rho)) <= 1e-8
 
 
 class TestSolveChi:
@@ -397,6 +450,15 @@ class TestPersistence:
 
     def test_probability_load_rejects_malformed(self, tmp_path):
         path = tmp_path / "p.json"
-        path.write_text('{"dim": 2}')
+        for text in ('{"dim": 2}', '{"dim": 0, "values": []}',
+                     '{"dim": -2, "values": [0.5, 0.5, 0.5, 0.5]}'):
+            path.write_text(text)
+            with pytest.raises(ValidationError):
+                load_probabilities(path)
+
+    @pytest.mark.parametrize("text", ["[]", "null", "3", '"x"'])
+    def test_chi_load_rejects_non_object(self, tmp_path, text):
+        path = tmp_path / "chi.json"
+        path.write_text(text)
         with pytest.raises(ValidationError):
-            load_probabilities(path)
+            load_chi(path)
