@@ -18,6 +18,7 @@ from .numerics import (
     as_complex_matrix,
     check_density_matrix,
     frobenius_norm,
+    json_int,
     matrix_from_json,
     read_json_object,
 )
@@ -253,7 +254,7 @@ def load_kraus(path, strict: bool = True) -> KrausChannel:
     sum A^dag A <= I is enforced at 1e-10."""
     obj = read_json_object(path, "Kraus")
     try:
-        dim = int(obj["dim"])
+        dim = json_int(obj, "dim")
         name = str(obj.get("name", "channel"))
         ops = tuple(matrix_from_json(o) for o in obj["operators"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

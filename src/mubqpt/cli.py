@@ -5,15 +5,13 @@ Subcommands: `mub gen|verify|complexity`, `channel apply|check`,
 config file (`--config FILE`, keys are the flag names with underscores);
 explicit flags win over config values. Data goes to files or standard
 output, diagnostics to standard error. Exit codes: 0 success, 1 invalid
-input, 2 numerical failure. The environment variable MUBQPT_THREADS caps
-sweep parallelism (0 picks the CPU count).
+input, 2 numerical failure.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import logging
-import os
 import sys
 
 from .channels import apply_channel, channel_checks, load_kraus, parse_channel_spec
@@ -101,19 +99,6 @@ def _emit(obj: dict, out_path) -> None:
             raise ValidationError(f"cannot write {out_path}: {exc}") from exc
     else:
         print(text)
-
-
-def _thread_count() -> int | None:
-    raw = os.environ.get("MUBQPT_THREADS")
-    if raw is None or not raw.strip():
-        return None
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ValidationError(f"MUBQPT_THREADS must be an integer, got {raw!r}") from exc
-    if n < 0:
-        raise ValidationError(f"MUBQPT_THREADS must be >= 0, got {n}")
-    return os.cpu_count() if n == 0 else n
 
 
 def _channel_spec(opts: dict) -> str:
@@ -282,7 +267,6 @@ def cmd_sweep(args) -> None:
         trials=int(opts["trials"]),
         base_seed=int(opts["seed"]),
         refine=bool(opts["refine"]),
-        threads=_thread_count(),
     )
     out = _require(opts, "out")
     export_results(result, str(opts["format"]), out, opts["aggregates_out"])

@@ -7,13 +7,12 @@ bias, not zero-mean noise; it is applied verbatim. Each trial re-solves
 the process matrix from the corrupted tensor and scores it against the
 exact one. Sweeps walk a grid of error amplitudes with a fixed number of
 trials per point and fully deterministic per-trial random streams, so a
-sweep is reproducible bit for bit regardless of scheduling.
+sweep is reproducible bit for bit.
 """
 from __future__ import annotations
 
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -203,15 +202,13 @@ def run_sweep(
     trials: int = 100,
     base_seed: int = 0,
     refine: bool = False,
-    threads: int | None = None,
     beta: BetaMatrix | None = None,
 ) -> SweepResult:
     """Full study: every channel at every error amplitude, `trials` times.
 
     Rows are ordered by (mu, channel, trial) and every trial draws from
     its own stream keyed by (base_seed, channel index, mu index, trial
-    index), so identical inputs give identical results independent of the
-    thread count.
+    index), so identical inputs give identical results.
     """
     channels = list(channels)
     if not channels:
@@ -224,36 +221,21 @@ def run_sweep(
         exact = process_probabilities(ch, mub_set)
         prepared.append((ch, exact, solve_chi(beta, exact)))
 
-    def one(ch_idx: int, mu_idx: int, trial: int) -> float:
-        ch, exact, chi_ref = prepared[ch_idx]
-        rng = trial_rng(base_seed, ch_idx, mu_idx, trial)
-        return run_trial(
-            ch, mub_set, beta, mus[mu_idx], rng, refine, exact=exact, chi_ref=chi_ref
-        ).fidelity
-
     rows = []
     aggregates = []
-    pool = ThreadPoolExecutor(max_workers=threads) if threads and threads > 1 else None
-    try:
-        for mu_idx, mu in enumerate(mus):
-            for ch_idx, (ch, _, _) in enumerate(prepared):
-                if pool is None:
-                    fids = [one(ch_idx, mu_idx, t) for t in range(trials)]
-                else:
-                    fids = list(
-                        pool.map(lambda t: one(ch_idx, mu_idx, t), range(trials))
-                    )
-                rows.extend(
-                    SweepRow(mu, ch.name, t, f, refine) for t, f in enumerate(fids)
-                )
-                arr = np.asarray(fids)
-                aggregates.append(
-                    SweepAggregate(mu, ch.name, float(arr.mean()), float(arr.std()), trials)
-                )
-            logger.info("noise level %g done (%d channels x %d trials)", mu, len(prepared), trials)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    for mu_idx, mu in enumerate(mus):
+        for ch_idx, (ch, exact, chi_ref) in enumerate(prepared):
+            fids = [
+                run_trial(ch, mub_set, beta, mu, trial_rng(base_seed, ch_idx, mu_idx, t),
+                          refine, exact=exact, chi_ref=chi_ref).fidelity
+                for t in range(trials)
+            ]
+            rows.extend(SweepRow(mu, ch.name, t, f, refine) for t, f in enumerate(fids))
+            arr = np.asarray(fids)
+            aggregates.append(
+                SweepAggregate(mu, ch.name, float(arr.mean()), float(arr.std()), trials)
+            )
+        logger.info("noise level %g done (%d channels x %d trials)", mu, len(prepared), trials)
     return SweepResult(tuple(rows), tuple(aggregates))
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .numerics import as_complex_matrix, hermiticity_defect, read_json_object
+from .numerics import as_complex_matrix, hermiticity_defect, json_int, read_json_object
 from .paulis import pauli_string
 
 __all__ = [
@@ -86,8 +86,10 @@ class MubSet:
     source: str
 
     def __post_init__(self):
-        b = np.asarray(self.bases, dtype=complex)
         d = self.dim
+        if d < 2:
+            raise ValidationError(f"dimension {d} is below 2")
+        b = np.asarray(self.bases, dtype=complex)
         if b.shape != (d + 1, d, d):
             raise ValidationError(
                 f"bases array has shape {b.shape}, expected {(d + 1, d, d)}"
@@ -410,7 +412,7 @@ def mub_to_json(mub_set: MubSet) -> dict:
 def mub_from_json(obj) -> MubSet:
     """Parse the basis object; no unbiasedness check is done here."""
     try:
-        dim = int(obj["dim"])
+        dim = json_int(obj, "dim")
         raw = obj["bases"]
         bases = np.array(
             [[[complex(re, im) for re, im in vec] for vec in basis] for basis in raw],

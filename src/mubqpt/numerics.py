@@ -20,6 +20,7 @@ __all__ = [
     "nearest_density_matrix",
     "matrix_to_json",
     "matrix_from_json",
+    "json_int",
     "read_json_object",
 ]
 
@@ -146,8 +147,8 @@ def matrix_to_json(m) -> dict:
 def matrix_from_json(obj) -> np.ndarray:
     """Parse the row-major [[re, im], ...] matrix object."""
     try:
-        rows = int(obj["rows"])
-        cols = int(obj["cols"])
+        rows = json_int(obj, "rows")
+        cols = json_int(obj, "cols")
         data = list(obj["data"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed matrix object: {exc}") from exc
@@ -162,6 +163,15 @@ def matrix_from_json(obj) -> np.ndarray:
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed matrix entry: {exc}") from exc
     return as_complex_matrix(flat.reshape(rows, cols))
+
+
+def json_int(obj: dict, key: str) -> int:
+    """obj[key] as a size read from a file: a JSON integer, never a
+    boolean or a float (2.7 is not silently truncated to 2)."""
+    val = obj[key]
+    if isinstance(val, bool) or not isinstance(val, int):
+        raise ValidationError(f"{key!r} must be a whole number, got {val!r}")
+    return int(val)
 
 
 def read_json_object(path, what: str) -> dict:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from .numerics import (
     frobenius_norm,
     hermitian_eig,
     hermiticity_defect,
+    json_int,
     matrix_from_json,
     matrix_to_json,
     read_json_object,
@@ -100,11 +101,33 @@ class ProbabilityTensor:
 @dataclass(frozen=True)
 class BetaMatrix:
     """The four-projector trace matrix, held as its read-only projector
-    frame; `matrix` and `pinv` build the dense reference on each read."""
+    frame W and dual frame W+^dag = (I - |I>><<I|/(D+1)) W. Construction
+    checks the frame identity W W^dag = I + |I>><<I| that makes the dual
+    the pseudoinverse and beta rank D^4; `matrix` and `pinv` build the
+    dense reference on each read."""
 
     dim: int
-    rank: int
     frame: np.ndarray
+    dual: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        d = self.dim
+        w = np.asarray(self.frame, dtype=complex)
+        if d < 2 or w.shape != (d * d, n_projectors(d)):
+            raise ValidationError(f"frame of shape {w.shape} does not fit dim {d}")
+        eye = np.eye(d).ravel()
+        defect = float(np.abs(w @ w.conj().T - np.eye(d * d) - np.outer(eye, eye)).max())
+        if not defect <= 1e-10:  # NaN entries fail too
+            raise NumericalError(f"projector frame identity defect {defect:.3e} exceeds 1e-10")
+        dual = w - np.outer(eye, eye @ w) / (d + 1)
+        w.flags.writeable = False
+        dual.flags.writeable = False
+        object.__setattr__(self, "frame", w)
+        object.__setattr__(self, "dual", dual)
+
+    @property
+    def rank(self) -> int:
+        return self.dim**4
 
     @property
     def matrix(self) -> np.ndarray:
@@ -131,6 +154,8 @@ class ChiMatrix:
     converged: bool = True
 
     def __post_init__(self):
+        if self.dim < 2:
+            raise ValidationError(f"dimension {self.dim} is below 2")
         m = as_complex_matrix(self.matrix)
         n = n_projectors(self.dim)
         if m.shape != (n, n):
@@ -144,16 +169,6 @@ def _choi_frame(mub_set: MubSet) -> np.ndarray:
     that the Choi matrix of chi is J = W chi W^dag."""
     v = mub_set.vectors()
     return np.einsum("ad,ae->dea", v, v.conj()).reshape(mub_set.dim**2, -1)
-
-
-def _dual_frame(w: np.ndarray, d: int) -> np.ndarray:
-    """W+^dag = (I - |I>><<I|/(D+1)) W, after checking the frame identity
-    W W^dag = I + |I>><<I| that makes it the pseudoinverse."""
-    eye = np.eye(d).ravel()
-    defect = float(np.abs(w @ w.conj().T - np.eye(d * d) - np.outer(eye, eye)).max())
-    if defect > 1e-10:
-        raise NumericalError(f"projector frame identity defect {defect:.3e} exceeds 1e-10")
-    return w - np.outer(eye, eye @ w) / (d + 1)
 
 
 def _reshuffle(m: np.ndarray, d: int) -> np.ndarray:
@@ -206,13 +221,8 @@ def process_probabilities(ch: KrausChannel, mub_set: MubSet) -> ProbabilityTenso
 
 
 def build_beta(mub_set: MubSet) -> BetaMatrix:
-    """The transfer matrix of `mub_set` as its projector frame. The
-    frame identity checked here gives beta = R L rank D^4."""
-    d = mub_set.dim
-    w = _choi_frame(mub_set)
-    _dual_frame(w, d)
-    w.flags.writeable = False
-    return BetaMatrix(d, d**4, w)
+    """The transfer matrix of `mub_set` as its projector frame."""
+    return BetaMatrix(mub_set.dim, _choi_frame(mub_set))
 
 
 def solve_chi(beta: BetaMatrix, p: ProbabilityTensor) -> ChiMatrix:
@@ -223,7 +233,7 @@ def solve_chi(beta: BetaMatrix, p: ProbabilityTensor) -> ChiMatrix:
         raise ValidationError(f"dim mismatch: beta {beta.dim}, p {p.dim}")
     d = beta.dim
     n = n_projectors(d)
-    dual = _dual_frame(beta.frame, d)
+    dual = beta.dual
     s = dual @ p.values.reshape(n, n).T @ dual.conj().T
     m = dual.conj().T @ _reshuffle(s, d) @ dual
     asym = frobenius_norm(m - m.conj().T)
@@ -319,8 +329,8 @@ def refine_physical(
     1e-12 |J|, or at the round cap with converged=False. Mapped back by
     chi = W+ J W+^dag, the result is positive semidefinite and the
     minimum-norm process matrix of that map, as `solve_chi` gives. The
-    worst |Tr E(P_b) - 1| is recorded, and |beta chi - p| when p and
-    beta are supplied.
+    worst |Tr E(P_b) - 1| is recorded, and |beta chi - p| when p is
+    supplied. W and W+ come from beta, built from mub_set when None.
     """
     d = mub_set.dim
     target = as_complex_matrix(chi_raw.matrix)
@@ -328,8 +338,11 @@ def refine_physical(
         raise ValidationError(f"dim mismatch: chi {chi_raw.dim}, basis {d}")
     if hermiticity_defect(target) > 1e-8:
         raise ValidationError("raw process matrix must be Hermitian")
-    w = _choi_frame(mub_set)
-    dual = _dual_frame(w, d)
+    if beta is None:
+        beta = build_beta(mub_set)
+    elif beta.dim != d:
+        raise ValidationError(f"dim mismatch: beta {beta.dim}, basis {d}")
+    w, dual = beta.frame, beta.dual
 
     x = w @ (0.5 * (target + target.conj().T)) @ w.conj().T
     tol = 1e-12 * frobenius_norm(x)
@@ -352,9 +365,7 @@ def refine_physical(
     chi = dual.conj().T @ x @ dual
     chi = 0.5 * (chi + chi.conj().T)
     table = _forward(w, chi, d)  # row b sums Tr(P_s E(P_b)) over each basis
-    resid = None
-    if p is not None and beta is not None:
-        resid = float(np.linalg.norm(table.ravel() - p.values))
+    resid = None if p is None else float(np.linalg.norm(table.ravel() - p.values))
     tp = float(np.abs(table[:, :d].sum(axis=1) - 1.0).max())
     return ChiMatrix(d, chi, physical=True, forward_residual=resid,
                      tp_max_violation=tp, converged=converged)
@@ -399,8 +410,8 @@ def load_chi(path) -> ChiMatrix:
     if obj.get("index_order") != "gamma-major":
         raise ValidationError(f"process-matrix file {path} lacks index_order 'gamma-major'")
     try:
-        dim = int(obj["dim"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        dim = json_int(obj, "dim")
+    except KeyError as exc:
         raise ValidationError(f"malformed process-matrix file {path}: {exc}") from exc
     m = matrix_from_json(obj)
     if hermiticity_defect(m) > 1e-8:
@@ -419,7 +430,7 @@ def save_probabilities(p: ProbabilityTensor, path) -> None:
 def load_probabilities(path) -> ProbabilityTensor:
     obj = read_json_object(path, "probability")
     try:
-        dim = int(obj["dim"])
+        dim = json_int(obj, "dim")
         values = np.asarray(obj["values"], dtype=float)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed probability file {path}: {exc}") from exc

@@ -1,10 +1,11 @@
 """Shared fixtures.
 
 Basis sets and transfer matrices are session scoped and shared across
-test modules; generating a basis set and checking the frame identity of
-its transfer matrix are the costly steps. Tests must not mutate them;
-the basis arrays and the transfer matrix's projector frame are flagged
-read-only at construction, which enforces that. The dense `matrix` and
+test modules; generating a basis set is the costly step, and the frame
+identity is checked once per `BetaMatrix`, when it is constructed.
+Tests must not mutate them; the basis arrays and the transfer matrix's
+projector frame and dual frame are flagged read-only at construction,
+which enforces that. The dense `matrix` and
 `pinv` of a transfer matrix are rebuilt on every read (`pinv` is an SVD
 of up to 900x900 at D=5).
 """

@@ -205,28 +205,6 @@ class TestSweepCommand:
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
 
-    def test_thread_env_does_not_change_output(self, capsys, tmp_path, monkeypatch):
-        argv = ["sweep", "--dim", "2", "--channels", "dep:0.2",
-                "--mu-start", "0.05", "--mu-end", "0.05", "--mu-step", "0.01",
-                "--trials", "4", "--seed", "2"]
-        serial = tmp_path / "serial.csv"
-        threaded = tmp_path / "threaded.csv"
-        monkeypatch.delenv("MUBQPT_THREADS", raising=False)
-        assert main(argv + ["--out", str(serial)]) == 0
-        monkeypatch.setenv("MUBQPT_THREADS", "3")
-        assert main(argv + ["--out", str(threaded)]) == 0
-        capsys.readouterr()
-        assert serial.read_bytes() == threaded.read_bytes()
-
-    def test_bad_thread_env(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("MUBQPT_THREADS", "many")
-        code, _, err = run_cli(
-            capsys, "sweep", "--dim", "2", "--channels", "dep:0.2",
-            "--mu-start", "0.05", "--mu-end", "0.05", "--mu-step", "0.01",
-            "--trials", "1", "--out", str(tmp_path / "x.csv")
-        )
-        assert code == 1 and "MUBQPT_THREADS" in err
-
 
 class TestTopLevel:
     def test_no_subcommand(self, capsys):

@@ -135,14 +135,6 @@ class TestSweep:
         assert agg.std_fidelity == pytest.approx(fids.std(), abs=1e-15)
         assert agg.trials == 8
 
-    def test_thread_count_invariance(self, set_d2, beta_d2):
-        chans = [parse_channel_spec("bpf:0.3", 2)]
-        serial = run_sweep(chans, set_d2, mu_grid=[0.03, 0.06], trials=6,
-                           base_seed=4, beta=beta_d2)
-        threaded = run_sweep(chans, set_d2, mu_grid=[0.03, 0.06], trials=6,
-                             base_seed=4, beta=beta_d2, threads=4)
-        assert serial.rows == threaded.rows
-
     def test_rejects_empty_inputs(self, set_d2, beta_d2):
         with pytest.raises(ValidationError):
             run_sweep([], set_d2, mu_grid=[0.05], beta=beta_d2)

@@ -318,3 +318,10 @@ class TestPersistence:
         path.write_text(json.dumps({"dim": 2, "bases": [[1, 2]]}))
         with pytest.raises(ValidationError):
             load_mub(path)
+
+    def test_load_rejects_dim_one(self, tmp_path):
+        # two copies of [1] pass the pairwise-trace check at D=1
+        path = tmp_path / "d1.json"
+        path.write_text(json.dumps({"dim": 1, "bases": [[[[1, 0]]], [[[1, 0]]]]}))
+        with pytest.raises(ValidationError):
+            load_mub(path)

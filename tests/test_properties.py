@@ -1,13 +1,34 @@
 """Property tests: every file loader either returns or raises
-ValidationError, whatever JSON value the file holds."""
+ValidationError, whatever JSON value the file holds; random CPTP
+channels give normalized probability tables and round-trip through the
+frame solve."""
 
 import json
+from functools import cache
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from mubqpt import ValidationError, load_chi, load_kraus, load_mub, load_probabilities
+from mubqpt import (
+    ValidationError,
+    apply_channel,
+    apply_chi,
+    build_beta,
+    generate_mub,
+    load_chi,
+    load_kraus,
+    load_mub,
+    load_probabilities,
+    matrix_to_json,
+    mub_to_json,
+    process_probabilities,
+    random_density_matrix,
+    solve_chi,
+    trace_distance,
+)
+from test_tomography import random_stinespring_channel
 
 # keys the loaders look up, so that generated objects reach past the
 # first lookup often enough to exercise the deeper checks
@@ -30,6 +51,12 @@ json_values = st.recursive(
 )
 
 LOADERS = [load_chi, load_probabilities, load_kraus, load_mub]
+
+# one object that every loader accepts at D=2, so that a bad size put
+# into it is the only fault of the file
+VALID = {**mub_to_json(generate_mub(2)), **matrix_to_json(np.eye(6)),
+         "index_order": "gamma-major", "values": [0.5] * 36,
+         "operators": [matrix_to_json(np.eye(2))]}
 
 
 @pytest.mark.parametrize("loader", LOADERS, ids=lambda f: f.__name__)
@@ -57,9 +84,52 @@ def test_loader_returns_or_raises_validation_error(loader, value, tmp_path):
 
 
 @pytest.mark.parametrize("loader", LOADERS, ids=lambda f: f.__name__)
-@pytest.mark.parametrize("raw", [b'{"dim": 1e999}', b"\xff"], ids=["overflow", "not-utf8"])
+def test_valid_file_loads(loader, tmp_path):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(VALID))
+    assert loader(path).dim == 2
+
+
+@pytest.mark.parametrize("loader", LOADERS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("raw", [
+    b'{"dim": 1e999}', b"\xff",
+    json.dumps({**VALID, "dim": 2.7}).encode(),
+    json.dumps({**VALID, "dim": 2.0}).encode(),
+    json.dumps({**VALID, "dim": True}).encode(),
+], ids=["overflow", "not-utf8", "dim-fraction", "dim-float", "dim-bool"])
 def test_loader_rejects_overflow_and_bad_encoding(loader, raw, tmp_path):
     path = tmp_path / "input.json"
     path.write_bytes(raw)
     with pytest.raises(ValidationError):
         loader(path)
+
+
+@pytest.mark.parametrize("loader", [load_chi, load_kraus], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("key", ["rows", "cols"])
+def test_matrix_sizes_must_be_integers(loader, key, tmp_path):
+    op = {**matrix_to_json(np.eye(2)), key: 2.0}
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({**VALID, key: 6.0, "operators": [op]}))
+    with pytest.raises(ValidationError):
+        loader(path)
+
+
+@cache
+def basis_and_beta(dim):
+    mub_set = generate_mub(dim)
+    return mub_set, build_beta(mub_set)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(2, 5), rank=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_random_channel_round_trips(dim, rank, seed):
+    mub_set, beta = basis_and_beta(dim)
+    rng = np.random.default_rng(seed)
+    ch = random_stinespring_channel(dim, rank, rng)
+    p = process_probabilities(ch, mub_set)
+    sums = p.values.reshape(-1, dim).sum(axis=1)  # one (input, outcome basis) group each
+    assert np.max(np.abs(sums - 1.0)) <= 1e-12
+    chi = solve_chi(beta, p)
+    for _ in range(3):
+        rho = random_density_matrix(dim, rng)
+        assert trace_distance(apply_chi(chi, rho, mub_set), apply_channel(ch, rho)) <= 1e-8

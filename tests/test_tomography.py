@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from mubqpt import (
+    BetaMatrix,
     ChiMatrix,
     KrausChannel,
     MubSet,
@@ -196,9 +199,24 @@ class TestBetaMatrix:
         assert np.max(np.abs(m @ k @ m - m)) <= 1e-8
 
     def test_frame_is_read_only(self, beta_d2):
-        assert beta_d2.frame.shape == (4, 6)
+        assert beta_d2.frame.shape == beta_d2.dual.shape == (4, 6)
         with pytest.raises(ValueError):
             beta_d2.frame[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            beta_d2.dual[0, 0] = 0.0
+
+    def test_dual_is_frame_pseudoinverse(self, beta_d3):
+        w = beta_d3.frame
+        assert np.max(np.abs(beta_d3.dual.conj().T - np.linalg.pinv(w))) <= 1e-12
+
+    def test_hand_built_frame_is_checked(self, beta_d3):
+        # the frame of an orthonormal but biased set is not a 2-design frame
+        v = np.stack([np.eye(3)] * 4).reshape(12, 3)
+        biased = np.einsum("ad,ae->dea", v, v).reshape(9, 12)
+        with pytest.raises(NumericalError):
+            BetaMatrix(3, biased)
+        with pytest.raises(ValidationError):
+            BetaMatrix(2, beta_d3.frame)
 
     def test_rejects_biased_bases(self):
         # orthonormal but not unbiased: the frame identity fails
@@ -360,6 +378,12 @@ class TestRefinement:
         assert np.linalg.eigvalsh(out.matrix)[0] >= -1e-10  # ends on the clip
         assert "round cap" in caplog.text
 
+    def test_rejects_beta_of_other_dim(self, set_d2, beta_d2, beta_d4):
+        p = process_probabilities(parse_channel_spec("dep:0.3", 2), set_d2)
+        raw = solve_chi(beta_d2, p)
+        with pytest.raises(ValidationError):
+            refine_physical(raw, p, beta_d4, set_d2)
+
     def test_rejects_non_hermitian_raw(self, set_d2):
         m = np.zeros((6, 6), dtype=complex)
         m[0, 1] = 1.0
@@ -429,8 +453,6 @@ class TestPersistence:
         assert np.max(np.abs(back.matrix - chi.matrix)) == 0.0
 
     def test_chi_load_rejects_wrong_order(self, set_d2, beta_d2, tmp_path):
-        import json
-
         chi = solve_chi(beta_d2, process_probabilities(parse_channel_spec("bpf:0.3", 2), set_d2))
         path = tmp_path / "chi.json"
         save_chi(chi, path)
@@ -451,10 +473,22 @@ class TestPersistence:
     def test_probability_load_rejects_malformed(self, tmp_path):
         path = tmp_path / "p.json"
         for text in ('{"dim": 2}', '{"dim": 0, "values": []}',
-                     '{"dim": -2, "values": [0.5, 0.5, 0.5, 0.5]}'):
+                     '{"dim": -2, "values": [0.5, 0.5, 0.5, 0.5]}',
+                     '{"dim": 2.7, "values": %s}' % ([0.5] * 36),
+                     '{"dim": 2.0, "values": %s}' % ([0.5] * 36)):
             path.write_text(text)
             with pytest.raises(ValidationError):
                 load_probabilities(path)
+
+    @pytest.mark.parametrize("dim", [-2, True])
+    def test_chi_load_rejects_small_dim(self, tmp_path, dim):
+        # n_projectors(-2) == 2, so a 2x2 matrix fits the shape check
+        path = tmp_path / "chi.json"
+        obj = {"index_order": "gamma-major", "dim": dim, "rows": 2, "cols": 2,
+               "data": [[1, 0], [0, 0], [0, 0], [1, 0]]}
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ValidationError):
+            load_chi(path)
 
     @pytest.mark.parametrize("text", ["[]", "null", "3", '"x"'])
     def test_chi_load_rejects_non_object(self, tmp_path, text):
