@@ -2,10 +2,10 @@
 
 Subcommands: `mub gen|verify|complexity`, `channel apply|check`,
 `qpt run`, `sweep`. Every flag can also be supplied through a JSON
-config file (`--config FILE`, keys are the flag names with underscores);
-explicit flags win over config values. Data goes to files or standard
-output, diagnostics to standard error. Exit codes: 0 success, 1 invalid
-input, 2 numerical failure.
+config file (`--config FILE`, keys are the flag names with underscores,
+values of the flag's JSON type); explicit flags win over config values.
+Data goes to files or standard output, diagnostics to standard error.
+Exit codes: 0 success, 1 invalid input, 2 numerical failure.
 """
 from __future__ import annotations
 
@@ -54,11 +54,18 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
+# JSON types a config value may take, and their name, by its flag's kind
+_CONFIG_KINDS = {int: (int, "integer"), float: ((int, float), "number"), bool: (bool, "boolean")}
+
+
 def _merge(args: argparse.Namespace, defaults: dict) -> dict:
     """defaults <- config file <- explicit flags.
 
-    Config values pass through the `type=` their flag declares, so a bad
-    value fails the same way it would on the command line.
+    A config value must have the JSON type of its flag (an integer for
+    `type=int`, a number for `type=float`, a boolean for an on/off flag)
+    and be one of the flag's `choices`, so it fails where the same value
+    would fail on the command line instead of being truncated or
+    reinterpreted. A null value, like an absent flag, keeps the default.
     """
     opts = dict(defaults)
     ns = vars(args)
@@ -68,13 +75,24 @@ def _merge(args: argparse.Namespace, defaults: dict) -> dict:
         unknown = sorted(set(obj) - set(defaults))
         if unknown:
             raise ValidationError(f"unknown config keys: {', '.join(unknown)}")
-        types = {a.dest: a.type for a in args.parser._actions if a.type is not None}
+        actions = {a.dest: a for a in args.parser._actions}
         for key, val in obj.items():
-            if key in types and val is not None:
+            if val is None:
+                continue
+            action = actions[key]
+            kind = bool if action.const is True else action.type
+            if kind is not None:
+                allowed, name = _CONFIG_KINDS[kind]
+                if isinstance(val, bool) != (kind is bool) or not isinstance(val, allowed):
+                    raise ValidationError(f"bad config value {key}={val!r}: expected a JSON {name}")
                 try:
-                    val = types[key](val)
-                except (TypeError, ValueError) as exc:
+                    val = kind(val)
+                except OverflowError as exc:
                     raise ValidationError(f"bad config value {key}={val!r}: {exc}") from exc
+            if action.choices is not None and val not in action.choices:
+                raise ValidationError(
+                    f"bad config value {key}={val!r}: choose from {', '.join(action.choices)}"
+                )
             opts[key] = val
     for key in defaults:
         val = ns.get(key)
@@ -253,6 +271,9 @@ def cmd_sweep(args) -> None:
             "aggregates_out": None,
         },
     )
+    out = _require(opts, "out")
+    if opts["format"] == "json" and opts["aggregates_out"] is not None:
+        raise ValidationError("--aggregates-out is for CSV; JSON output holds the aggregates")
     dim = int(opts["dim"])
     mub_set = generate_mub(dim)
     specs = [s for s in str(opts["channels"]).split(",") if s.strip()]
@@ -268,7 +289,6 @@ def cmd_sweep(args) -> None:
         base_seed=int(opts["seed"]),
         refine=bool(opts["refine"]),
     )
-    out = _require(opts, "out")
     export_results(result, str(opts["format"]), out, opts["aggregates_out"])
 
 

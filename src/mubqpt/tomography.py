@@ -172,8 +172,10 @@ def _choi_frame(mub_set: MubSet) -> np.ndarray:
 
 
 def _reshuffle(m: np.ndarray, d: int) -> np.ndarray:
-    """Choi matrix <-> superoperator; the index swap is its own inverse."""
-    return m.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    """Choi matrix <-> superoperator over the last two axes; the index
+    swap is its own inverse."""
+    lead = m.shape[:-2]
+    return m.reshape(*lead, d, d, d, d).swapaxes(-3, -2).reshape(*lead, d * d, d * d)
 
 
 def _forward(w: np.ndarray, chi: np.ndarray, d: int) -> np.ndarray:
@@ -225,6 +227,17 @@ def build_beta(mub_set: MubSet) -> BetaMatrix:
     return BetaMatrix(mub_set.dim, _choi_frame(mub_set))
 
 
+def _solve_tables(beta: BetaMatrix, tables: np.ndarray) -> np.ndarray:
+    """The un-symmetrized minimum-norm solves M = W+ J W+^dag of k flat
+    tables of shape (k, n^2), J the reshuffle of S = W+^dag p^T W+, as
+    one set of stacked products; shape (k, n, n)."""
+    d = beta.dim
+    n = n_projectors(d)
+    dual = beta.dual
+    s = dual @ tables.reshape(-1, n, n).swapaxes(-1, -2) @ dual.conj().T
+    return dual.conj().T @ _reshuffle(s, d) @ dual
+
+
 def solve_chi(beta: BetaMatrix, p: ProbabilityTensor) -> ChiMatrix:
     """Minimum-norm solve chi = beta+ p through the dual frame, then
     Hermitian symmetrization. The asymmetry is the Frobenius norm that
@@ -232,10 +245,7 @@ def solve_chi(beta: BetaMatrix, p: ProbabilityTensor) -> ChiMatrix:
     if beta.dim != p.dim:
         raise ValidationError(f"dim mismatch: beta {beta.dim}, p {p.dim}")
     d = beta.dim
-    n = n_projectors(d)
-    dual = beta.dual
-    s = dual @ p.values.reshape(n, n).T @ dual.conj().T
-    m = dual.conj().T @ _reshuffle(s, d) @ dual
+    m = _solve_tables(beta, p.values[None])[0]
     asym = frobenius_norm(m - m.conj().T)
     h = 0.5 * (m + m.conj().T)
     resid = float(np.linalg.norm(_forward(beta.frame, h, d).ravel() - p.values))

@@ -16,6 +16,10 @@ from mubqpt import (
 from mubqpt.cli import main
 
 
+def _no_sweep(*args, **kwargs):
+    raise AssertionError("the sweep ran before its options were checked")
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -151,6 +155,24 @@ class TestQptRun:
         code, _, err = run_cli(capsys, "qpt", "run", "--dim", "2")
         assert code == 1 and "--channel" in err
 
+    def test_config_takes_json_numbers_and_booleans(self, capsys, tmp_path):
+        # a JSON integer is a valid value for a float flag
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"dim": 2, "channel": "dep", "param": 0, "mu": 0, "refine": True}
+        ))
+        path = tmp_path / "chi.json"
+        code, _, err = run_cli(capsys, "qpt", "run", "--config", str(cfg), "--out", str(path))
+        assert code == 0 and "fidelity=1.0000000000" in err
+        assert load_chi(path).physical
+
+    @pytest.mark.parametrize("refine", ["false", 1])
+    def test_config_refine_must_be_boolean(self, capsys, tmp_path, refine):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dim": 2, "channel": "dep:0.2", "refine": refine}))
+        code, _, err = run_cli(capsys, "qpt", "run", "--config", str(cfg))
+        assert code == 1 and err.startswith("error:") and "refine" in err
+
 
 class TestSweepCommand:
     def test_small_sweep_csv(self, capsys, tmp_path):
@@ -173,6 +195,8 @@ class TestSweepCommand:
         cfg.write_text(json.dumps({
             "dim": 2, "channels": "dep:0.2", "mu_start": 0.05, "mu_end": 0.05,
             "mu_step": 0.01, "trials": 4, "seed": 1,
+            # null keeps the default, as an absent flag does
+            "format": None, "refine": None,
         }))
         out = tmp_path / "rows.csv"
         code, _, _ = run_cli(
@@ -188,11 +212,29 @@ class TestSweepCommand:
         code, _, err = run_cli(capsys, "sweep", "--config", str(cfg), "--out", "x.csv")
         assert code == 1 and "bogus" in err
 
-    def test_config_rejects_bad_value_type(self, capsys, tmp_path):
+    def test_config_rejects_bad_value_type(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr("mubqpt.cli.run_sweep", _no_sweep)
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"dim": 2, "trials": "abc"}))
-        code, _, err = run_cli(capsys, "sweep", "--config", str(cfg), "--out", "x.csv")
-        assert code == 1 and err.startswith("error:") and "trials" in err
+        for key, val in [
+            ("trials", "abc"), ("trials", 2.9), ("trials", True), ("seed", 1.0),
+            ("mu_step", True), ("mu_start", 10**400), ("refine", "false"), ("refine", 1),
+            ("format", "xml"),
+        ]:
+            cfg.write_text(json.dumps({"dim": 2, key: val}))
+            code, _, err = run_cli(capsys, "sweep", "--config", str(cfg), "--out", "x.csv")
+            assert code == 1 and err.startswith("error:") and key in err, (key, val)
+
+    @pytest.mark.parametrize("argv,message", [
+        ([], "--out"),
+        (["--format", "json", "--out", "rows.json", "--aggregates-out", "agg.json"],
+         "--aggregates-out"),
+    ])
+    def test_outputs_checked_before_sweep(self, capsys, tmp_path, monkeypatch, argv, message):
+        monkeypatch.setattr("mubqpt.cli.run_sweep", _no_sweep)
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run_cli(capsys, "sweep", "--dim", "2", *argv)
+        assert code == 1 and err.startswith("error:") and message in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_repeat_runs_byte_identical(self, capsys, tmp_path):
         argv = ["sweep", "--dim", "2", "--channels", "ad:0.4",

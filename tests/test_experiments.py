@@ -6,17 +6,21 @@ import pytest
 from mubqpt import (
     NoiseConfig,
     ValidationError,
+    apply_chi,
+    concurrence,
     concurrence_trace,
     default_channel_suite,
     default_mu_grid,
     export_results,
     import_results,
     make_cnot,
+    nearest_density_matrix,
     parse_channel_spec,
     perturb_probabilities,
     process_probabilities,
     run_sweep,
     run_trial,
+    solve_chi,
     trial_rng,
 )
 
@@ -135,6 +139,31 @@ class TestSweep:
         assert agg.std_fidelity == pytest.approx(fids.std(), abs=1e-15)
         assert agg.trials == 8
 
+    @pytest.mark.parametrize("refine", [False, True])
+    @pytest.mark.parametrize("trials", [1, 16, 17, 40])
+    @pytest.mark.parametrize("dim,specs", [(2, "dep:0.2,ad:0.4"), (4, "ad:0.4,cnot")])
+    def test_rows_equal_per_trial_reference(self, request, dim, specs, trials, refine):
+        # the blocked solve must give each trial's run_trial fidelity bit for
+        # bit, across block boundaries (16 trials) and at mu = 0
+        mub_set = request.getfixturevalue(f"set_d{dim}")
+        beta = request.getfixturevalue(f"beta_d{dim}")
+        chans = [parse_channel_spec(s, dim) for s in specs.split(",")]
+        grid = [0.0, 0.05]
+        res = run_sweep(chans, mub_set, mu_grid=grid, trials=trials, base_seed=3,
+                        refine=refine, beta=beta)
+        expected = []
+        for mi, mu in enumerate(grid):
+            for ci, ch in enumerate(chans):
+                exact = process_probabilities(ch, mub_set)
+                chi_ref = solve_chi(beta, exact)
+                expected += [
+                    run_trial(ch, mub_set, beta, mu, trial_rng(3, ci, mi, t), refine,
+                              exact=exact, chi_ref=chi_ref).fidelity
+                    for t in range(trials)
+                ]
+        assert [r.fidelity for r in res.rows] == expected
+        assert all(r.refined == refine for r in res.rows)
+
     def test_rejects_empty_inputs(self, set_d2, beta_d2):
         with pytest.raises(ValidationError):
             run_sweep([], set_d2, mu_grid=[0.05], beta=beta_d2)
@@ -164,6 +193,21 @@ class TestConcurrenceTrace:
                                 mu_grid=[0.05, 0.1], trials=4, base_seed=2, beta=beta_d4)
         for pt in pts:
             assert 0.0 <= pt.mean_concurrence <= 1.0
+
+    @pytest.mark.parametrize("trials", [16, 17, 40])
+    def test_matches_per_trial_reference(self, set_d4, beta_d4, trials):
+        ch = parse_channel_spec("ad:0.4", 4)
+        grid = [0.0, 0.05]
+        pts = concurrence_trace(RHO_BELL, ch, set_d4, mu_grid=grid, trials=trials,
+                                base_seed=4, beta=beta_d4)
+        exact = process_probabilities(ch, set_d4)
+        for mi, (mu, pt) in enumerate(zip(grid, pts)):
+            vals = []
+            for t in range(trials):
+                chi = solve_chi(beta_d4, perturb_probabilities(exact, mu, trial_rng(4, 0, mi, t)))
+                vals.append(concurrence(nearest_density_matrix(apply_chi(chi, RHO_BELL, set_d4))))
+            assert pt.mu == mu
+            assert pt.mean_concurrence == float(np.mean(vals))
 
     @pytest.mark.parametrize("mu_grid,trials", [([2.0], 1), ([0.05], 0)])
     def test_rejects_out_of_range_noise(self, set_d4, beta_d4, mu_grid, trials):

@@ -240,8 +240,11 @@ class TestFrameSolve:
         exact = process_probabilities(ch, mub_set)
         tables = [exact] + [perturb_probabilities(exact, mu, trial_rng(11, dim, i, 0))
                             for i, mu in enumerate((0.05, 0.15))]
-        for p in tables:
+        stacked = tomography._solve_tables(beta, np.stack([p.values for p in tables]))
+        for p, m_k in zip(tables, stacked):
             chi = solve_chi(beta, p)
+            # one stacked solve gives each table's solve_chi bit for bit
+            assert np.array_equal(0.5 * (m_k + m_k.conj().T), chi.matrix)
             m = (kappa @ p.values).reshape(n, n)
             assert np.max(np.abs(chi.matrix - 0.5 * (m + m.conj().T))) <= 1e-12
             resid = np.linalg.norm(dense @ chi.matrix.ravel() - p.values)
@@ -256,7 +259,14 @@ class TestFrameSolve:
     def test_round_trip_beyond_dense_reach(self, dim):
         mub_set = generate_mub(dim)
         ch = random_stinespring_channel(dim, 3, np.random.default_rng(400 + dim))
-        chi = solve_chi(build_beta(mub_set), process_probabilities(ch, mub_set))
+        beta = build_beta(mub_set)
+        exact = process_probabilities(ch, mub_set)
+        chi = solve_chi(beta, exact)
+        tables = [exact] + [perturb_probabilities(exact, 0.05, trial_rng(12, dim, 0, t))
+                            for t in range(2)]
+        stacked = tomography._solve_tables(beta, np.stack([p.values for p in tables]))
+        for p, m_k in zip(tables, stacked):
+            assert np.array_equal(0.5 * (m_k + m_k.conj().T), solve_chi(beta, p).matrix)
         rng = np.random.default_rng(dim)
         for _ in range(5):
             rho = random_density_matrix(dim, rng)
