@@ -7,7 +7,6 @@ trace-preservation/unitality checks, and the two-qubit concurrence.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from types import MappingProxyType
 
@@ -20,7 +19,9 @@ from .numerics import (
     frobenius_norm,
     json_int,
     matrix_from_json,
+    matrix_to_json,
     read_json_object,
+    write_json_object,
 )
 from .paulis import SIGMA_X, SIGMA_Y, SIGMA_Z, pauli_string
 
@@ -237,16 +238,12 @@ def parse_channel_spec(spec: str, dim: int) -> KrausChannel:
 
 def save_kraus(ch: KrausChannel, path) -> None:
     """Write {"dim": D, "name": ..., "operators": [matrix-json, ...]}."""
-    from .numerics import matrix_to_json
-
     obj = {
         "dim": ch.dim,
         "name": ch.name,
         "operators": [matrix_to_json(a) for a in ch.operators],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh)
-        fh.write("\n")
+    write_json_object(path, obj, "Kraus")
 
 
 def load_kraus(path, strict: bool = True) -> KrausChannel:

@@ -20,9 +20,8 @@ from .experiments import (
     NoiseConfig,
     default_mu_grid,
     export_results,
-    perturb_probabilities,
     run_sweep,
-    trial_rng,
+    run_trial,
 )
 from .mub import (
     ComplexityModel,
@@ -34,15 +33,14 @@ from .mub import (
     mub_to_json,
     verify_mub,
 )
-from .numerics import check_density_matrix, matrix_from_json, matrix_to_json, read_json_object
-from .tomography import (
-    build_beta,
-    chi_to_json,
-    process_fidelity,
-    process_probabilities,
-    refine_physical,
-    solve_chi,
+from .numerics import (
+    check_density_matrix,
+    matrix_from_json,
+    matrix_to_json,
+    read_json_object,
+    write_json_object,
 )
+from .tomography import build_beta, chi_to_json
 
 __all__ = ["main", "build_parser"]
 
@@ -108,15 +106,10 @@ def _require(opts: dict, key: str):
 
 
 def _emit(obj: dict, out_path) -> None:
-    text = json.dumps(obj)
     if out_path:
-        try:
-            with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-        except OSError as exc:
-            raise ValidationError(f"cannot write {out_path}: {exc}") from exc
+        write_json_object(out_path, obj, "output")
     else:
-        print(text)
+        print(json.dumps(obj))
 
 
 def _channel_spec(opts: dict) -> str:
@@ -235,23 +228,14 @@ def cmd_qpt_run(args) -> None:
     noise = NoiseConfig(float(opts["mu"]), int(opts["seed"]))  # range checks
     mub_set = generate_mub(dim)
     beta = build_beta(mub_set)
-    exact = process_probabilities(ch, mub_set)
-    chi_ref = solve_chi(beta, exact)
-    if noise.mu > 0.0:
-        noisy = perturb_probabilities(exact, noise.mu, trial_rng(noise.seed, 0, 0, 0))
-    else:
-        noisy = exact
-    chi = solve_chi(beta, noisy)
-    if opts["refine"]:
-        chi = refine_physical(chi, noisy, beta, mub_set)
-    fid = process_fidelity(chi_ref, chi)
+    res = run_trial(ch, mub_set, beta, noise.mu, noise.seed, bool(opts["refine"]))
     print(
         f"dim={dim} channel={ch.name} mu={noise.mu:g} rank={beta.rank} "
-        f"asymmetry={chi.asymmetry:.3e} residual={chi.forward_residual:.3e} "
-        f"fidelity={fid:.10f}",
+        f"asymmetry={res.chi.asymmetry:.3e} residual={res.chi.forward_residual:.3e} "
+        f"fidelity={res.fidelity:.10f}",
         file=sys.stderr,
     )
-    _emit(chi_to_json(chi), opts["out"])
+    _emit(chi_to_json(res.chi), opts["out"])
 
 
 def cmd_sweep(args) -> None:

@@ -13,7 +13,6 @@ solve bit for bit, so rows do not depend on the block size.
 """
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 
@@ -22,7 +21,12 @@ import numpy as np
 from .channels import KrausChannel, concurrence, make_cnot, parse_channel_spec
 from .errors import ValidationError
 from .mub import MubSet
-from .numerics import check_density_matrix, nearest_density_matrix, read_json_object
+from .numerics import (
+    check_density_matrix,
+    nearest_density_matrix,
+    read_json_object,
+    write_json_object,
+)
 from .tomography import (
     BetaMatrix,
     ChiMatrix,
@@ -169,6 +173,8 @@ def run_trial(
 
 def default_mu_grid(start: float = 0.01, end: float = 0.15, step: float = 0.01) -> list[float]:
     """Inclusive grid of error amplitudes with rounding-clean values."""
+    if not np.all(np.isfinite([start, end, step])):
+        raise ValidationError(f"grid bounds and step must be finite, got {start}, {end}, {step}")
     if step <= 0:
         raise ValidationError(f"step must be positive, got {step}")
     if end < start:
@@ -327,12 +333,7 @@ def export_results(result: SweepResult, fmt: str, path, aggregates_path=None) ->
                 for a in result.aggregates
             ],
         }
-        try:
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(obj, fh)
-                fh.write("\n")
-        except OSError as exc:
-            raise ValidationError(f"cannot write {path}: {exc}") from exc
+        write_json_object(path, obj, "results")
     else:
         raise ValidationError(f"unknown export format {fmt!r}; use csv or json")
 

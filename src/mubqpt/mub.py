@@ -12,13 +12,18 @@ rows; the common eigenbases of the rows form the MUB set.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .numerics import as_complex_matrix, hermiticity_defect, json_int, read_json_object
+from .numerics import (
+    as_complex_matrix,
+    hermiticity_defect,
+    json_int,
+    read_json_object,
+    write_json_object,
+)
 from .paulis import pauli_string
 
 __all__ = [
@@ -425,9 +430,7 @@ def mub_from_json(obj) -> MubSet:
 
 def save_mub(mub_set: MubSet, path) -> None:
     """Write the basis file."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(mub_to_json(mub_set), fh)
-        fh.write("\n")
+    write_json_object(path, mub_to_json(mub_set), "basis")
 
 
 def load_mub(path, tol: float = 1e-10, verify: bool = True) -> MubSet:

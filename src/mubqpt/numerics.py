@@ -22,6 +22,7 @@ __all__ = [
     "matrix_from_json",
     "json_int",
     "read_json_object",
+    "write_json_object",
 ]
 
 
@@ -185,3 +186,14 @@ def read_json_object(path, what: str) -> dict:
     if not isinstance(obj, dict):
         raise ValidationError(f"{what} file {path} must hold a JSON object")
     return obj
+
+
+def write_json_object(path, obj: dict, what: str) -> None:
+    """Write obj as one line of JSON and a newline; an unwritable path
+    raises ValidationError."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(obj, fh)
+            fh.write("\n")
+    except OSError as exc:
+        raise ValidationError(f"cannot write {what} file {path}: {exc}") from exc

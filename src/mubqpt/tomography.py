@@ -17,12 +17,13 @@ the Choi matrix J = W chi W^dag reshuffled to the superoperator S
 (onto), R maps S to p^T = W^dag S W (one-to-one). MUB sets are
 2-designs, W W^dag = I + |I>><<I|, so beta+ p = W+ J W+^dag with J the
 reshuffle of S = W+^dag p^T W+ and W+^dag = (I - |I>><<I|/(D+1)) W.
-The physical estimate is the nearest completely positive,
-trace-preserving map in the Frobenius norm of J.
+J is blind to the null(W) gauge of the overcomplete chi, so every
+map-level operation (forward table, applying the map, Kraus extraction,
+refinement) reads J. The physical estimate is the nearest completely
+positive, trace-preserving map in the Frobenius norm of J.
 """
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
 
@@ -41,6 +42,7 @@ from .numerics import (
     matrix_to_json,
     read_json_object,
     svd_pseudoinverse,
+    write_json_object,
 )
 
 __all__ = [
@@ -69,6 +71,9 @@ logger = logging.getLogger(__name__)
 
 # round cap of the CPTP projection in refine_physical
 _MAX_ROUNDS = 1000
+# bounds on the Choi spectrum in extract_kraus: rejection floor, keep threshold
+_KRAUS_FLOOR = 1e-8
+_KRAUS_KEEP = 1e-10
 
 
 @dataclass(frozen=True)
@@ -178,9 +183,14 @@ def _reshuffle(m: np.ndarray, d: int) -> np.ndarray:
     return m.reshape(*lead, d, d, d, d).swapaxes(-3, -2).reshape(*lead, d * d, d * d)
 
 
+def _choi(w: np.ndarray, chi: np.ndarray) -> np.ndarray:
+    """The Choi matrix J = W chi W^dag of the map that chi expands."""
+    return w @ chi @ w.conj().T
+
+
 def _forward(w: np.ndarray, chi: np.ndarray, d: int) -> np.ndarray:
     """beta chi as the (input, outcome) table (W^dag S W)^T."""
-    return (w.conj().T @ _reshuffle(w @ chi @ w.conj().T, d) @ w).T
+    return (w.conj().T @ _reshuffle(_choi(w, chi), d) @ w).T
 
 
 def state_probabilities(rho, mub_set: MubSet) -> np.ndarray:
@@ -253,43 +263,38 @@ def solve_chi(beta: BetaMatrix, p: ProbabilityTensor) -> ChiMatrix:
 
 
 def apply_chi(chi: ChiMatrix, rho, mub_set: MubSet) -> np.ndarray:
-    """E(rho) = sum_{a,b} chi[a,b] P_a rho P_b."""
-    if chi.dim != mub_set.dim:
-        raise ValidationError(f"dim mismatch: chi {chi.dim}, basis {mub_set.dim}")
+    """E(rho) = sum_{a,b} chi[a,b] P_a rho P_b as the reshuffled J on vec(rho)."""
+    d = mub_set.dim
+    if chi.dim != d:
+        raise ValidationError(f"dim mismatch: chi {chi.dim}, basis {d}")
     r = as_complex_matrix(rho)
-    if r.shape != (mub_set.dim, mub_set.dim):
-        raise ValidationError(
-            f"state shape {r.shape} does not match dim {mub_set.dim}"
-        )
-    v = mub_set.vectors()
-    w = v.conj() @ r @ v.T  # w[a, b] = <a|rho|b>
-    return np.einsum("ab,ad,be->de", chi.matrix * w, v, v.conj())
+    if r.shape != (d, d):
+        raise ValidationError(f"state shape {r.shape} does not match dim {d}")
+    return (_reshuffle(_choi(_choi_frame(mub_set), chi.matrix), d) @ r.ravel()).reshape(d, d)
 
 
-def extract_kraus(
-    chi: ChiMatrix, mub_set: MubSet, eig_floor: float = 1e-8, keep_tol: float = 1e-10
-) -> KrausChannel:
-    """Operators from the spectral decomposition of chi:
-    A_i = sqrt(l_i) sum_a v_i[a] P_a for eigenpairs with l_i > keep_tol.
-
-    Eigenvalues in [-eig_floor, 0) are clamped to zero; anything lower is
-    rejected. The overcomplete expansion makes individual operators
-    gauge-dependent; only the induced map is meaningful.
+def extract_kraus(chi: ChiMatrix, mub_set: MubSet) -> KrausChannel:
+    """Canonical operators A_i = sqrt(l_i) u_i, reshaped row-major to
+    D x D, from the eigenpairs of the Choi matrix J = W chi W^dag with
+    l_i > 1e-10: pairwise orthogonal, at most D^2 of them, and blind to
+    any null(W) component of chi. Eigenvalues of J in [-1e-8, 0) are
+    clamped to zero; a lower one rejects the map as not completely
+    positive (J >= 0 exactly when the minimum-norm chi >= 0).
     """
-    if chi.dim != mub_set.dim:
-        raise ValidationError(f"dim mismatch: chi {chi.dim}, basis {mub_set.dim}")
-    w, u = hermitian_eig(chi.matrix)
-    if w[0] < -eig_floor:
+    d = mub_set.dim
+    if chi.dim != d:
+        raise ValidationError(f"dim mismatch: chi {chi.dim}, basis {d}")
+    lam, u = hermitian_eig(_choi(_choi_frame(mub_set), chi.matrix))
+    if lam[0] < -_KRAUS_FLOOR:
         raise NumericalError(
-            f"process matrix has eigenvalue {w[0]:.3e} < -{eig_floor:.1e}; "
+            f"Choi matrix has eigenvalue {lam[0]:.3e} < -{_KRAUS_FLOOR:.1e}; "
             "refine to a physical estimate first"
         )
-    keep = w > keep_tol
-    cols = _choi_frame(mub_set) @ (u[:, keep] * np.sqrt(w[keep]))
-    ops = list(cols.T.reshape(-1, chi.dim, chi.dim))
+    keep = lam > _KRAUS_KEEP
+    ops = list((u[:, keep] * np.sqrt(lam[keep])).T.reshape(-1, d, d))
     if not ops:
-        ops = [np.zeros((chi.dim, chi.dim), dtype=complex)]
-    return KrausChannel(chi.dim, tuple(ops), "extracted", {})
+        ops = [np.zeros((d, d), dtype=complex)]
+    return KrausChannel(d, tuple(ops), "extracted", {})
 
 
 def constraint_tensor(mub_set: MubSet) -> np.ndarray:
@@ -354,7 +359,7 @@ def refine_physical(
         raise ValidationError(f"dim mismatch: beta {beta.dim}, basis {d}")
     w, dual = beta.frame, beta.dual
 
-    x = w @ (0.5 * (target + target.conj().T)) @ w.conj().T
+    x = _choi(w, 0.5 * (target + target.conj().T))
     tol = 1e-12 * frobenius_norm(x)
     eye = np.eye(d)
     q = np.zeros_like(x)  # Dykstra correction of the cone; the affine one vanishes
@@ -410,9 +415,7 @@ def chi_to_json(chi: ChiMatrix) -> dict:
 
 def save_chi(chi: ChiMatrix, path) -> None:
     """Write the process-matrix file."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(chi_to_json(chi), fh)
-        fh.write("\n")
+    write_json_object(path, chi_to_json(chi), "process-matrix")
 
 
 def load_chi(path) -> ChiMatrix:
@@ -432,9 +435,7 @@ def load_chi(path) -> ChiMatrix:
 def save_probabilities(p: ProbabilityTensor, path) -> None:
     """Write {"dim": D, "values": [...]} with the flat ordering."""
     obj = {"dim": p.dim, "values": [float(x) for x in p.values]}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh)
-        fh.write("\n")
+    write_json_object(path, obj, "probability")
 
 
 def load_probabilities(path) -> ProbabilityTensor:

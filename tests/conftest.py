@@ -8,12 +8,19 @@ projector frame and dual frame are flagged read-only at construction,
 which enforces that. The dense `matrix` and
 `pinv` of a transfer matrix are rebuilt on every read (`pinv` is an SVD
 of up to 900x900 at D=5).
+
+Property tests draw their examples deterministically and keep no
+example database, so every run of the suite tests the same inputs.
 """
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from mubqpt import build_beta, generate_mub
+
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from mubqpt import (
+    build_beta,
+    generate_mub,
     load_chi,
     matrix_from_json,
     matrix_to_json,
     mub_from_json,
     parse_channel_spec,
+    run_trial,
     save_kraus,
     save_mub,
     verify_mub,
@@ -144,6 +147,18 @@ class TestQptRun:
         assert chi.physical
         assert np.linalg.eigvalsh(chi.matrix)[0] >= -1e-10
 
+    @pytest.mark.parametrize("refine", [False, True])
+    def test_chi_equals_run_trial(self, capsys, tmp_path, refine):
+        path = tmp_path / "chi.json"
+        argv = ["qpt", "run", "--dim", "2", "--channel", "ad:0.4", "--mu", "0.1",
+                "--seed", "7", "--out", str(path)]
+        code, _, _ = run_cli(capsys, *argv, *(["--refine"] if refine else []))
+        assert code == 0
+        mub_set = generate_mub(2)
+        ref = run_trial(parse_channel_spec("ad:0.4", 2), mub_set, build_beta(mub_set), 0.1, 7,
+                        refine)
+        assert np.array_equal(matrix_from_json(json.loads(path.read_text())), ref.chi.matrix)
+
     @pytest.mark.parametrize("mu", ["2", "-0.5"])
     def test_rejects_mu_out_of_range(self, capsys, mu):
         code, _, err = run_cli(
@@ -235,6 +250,14 @@ class TestSweepCommand:
         code, _, err = run_cli(capsys, "sweep", "--dim", "2", *argv)
         assert code == 1 and err.startswith("error:") and message in err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--mu-step", "nan"), ("--mu-end", "nan"), ("--mu-end", "inf"),
+    ])
+    def test_rejects_non_finite_grid(self, capsys, tmp_path, flag, value):
+        code, _, err = run_cli(capsys, "sweep", "--dim", "2", "--channels", "dep:0.1",
+                               flag, value, "--out", str(tmp_path / "rows.csv"))
+        assert code == 1 and err.startswith("error:") and "finite" in err
 
     def test_repeat_runs_byte_identical(self, capsys, tmp_path):
         argv = ["sweep", "--dim", "2", "--channels", "ad:0.4",

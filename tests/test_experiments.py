@@ -118,6 +118,14 @@ class TestTrials:
         with pytest.raises(ValidationError):
             default_mu_grid(step=0.0)
 
+    @pytest.mark.parametrize("bounds", [
+        (float("nan"), 0.15, 0.01), (0.01, float("nan"), 0.01), (0.01, 0.15, float("nan")),
+        (0.01, float("inf"), 0.01), (float("-inf"), 0.15, 0.01), (0.01, 0.15, float("inf")),
+    ])
+    def test_grid_rejects_non_finite_values(self, bounds):
+        with pytest.raises(ValidationError, match="finite"):
+            default_mu_grid(*bounds)
+
 
 class TestSweep:
     def test_row_ordering_and_counts(self, set_d2, beta_d2):

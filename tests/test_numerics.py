@@ -4,16 +4,24 @@ import numpy as np
 import pytest
 
 from mubqpt import (
+    ChiMatrix,
     NumericalError,
+    ProbabilityTensor,
     ValidationError,
     check_density_matrix,
     frobenius_norm,
+    generate_mub,
     hermitian_eig,
     hermiticity_defect,
+    make_cnot,
     matrix_from_json,
     matrix_to_json,
     nearest_density_matrix,
     random_density_matrix,
+    save_chi,
+    save_kraus,
+    save_mub,
+    save_probabilities,
     svd_pseudoinverse,
     trace_distance,
 )
@@ -201,3 +209,13 @@ class TestMatrixJson:
         blob["data"][0][0] = [1.0]
         with pytest.raises(ValidationError):
             matrix_from_json(blob)
+
+    @pytest.mark.parametrize("saver,make", [
+        (save_chi, lambda: ChiMatrix(2, np.eye(6))),
+        (save_probabilities, lambda: ProbabilityTensor(2, np.full(36, 0.5))),
+        (save_mub, lambda: generate_mub(2)),
+        (save_kraus, make_cnot),
+    ], ids=["save_chi", "save_probabilities", "save_mub", "save_kraus"])
+    def test_savers_reject_missing_directory(self, saver, make, tmp_path):
+        with pytest.raises(ValidationError, match="cannot write"):
+            saver(make(), tmp_path / "missing" / "out.json")

@@ -1,7 +1,8 @@
 """Property tests: every file loader either returns or raises
 ValidationError, whatever JSON value the file holds; random CPTP
-channels give normalized probability tables and round-trip through the
-frame solve."""
+channels give normalized probability tables, round-trip through the
+frame solve, and refinement never moves a noisy estimate away from
+them in the Choi norm."""
 
 import json
 from functools import cache
@@ -23,12 +24,15 @@ from mubqpt import (
     load_probabilities,
     matrix_to_json,
     mub_to_json,
+    perturb_probabilities,
     process_probabilities,
     random_density_matrix,
+    refine_physical,
     solve_chi,
     trace_distance,
+    trial_rng,
 )
-from test_tomography import random_stinespring_channel
+from test_tomography import choi_of_chi, choi_of_kraus, random_stinespring_channel
 
 # keys the loaders look up, so that generated objects reach past the
 # first lookup often enough to exercise the deeper checks
@@ -133,3 +137,20 @@ def test_random_channel_round_trips(dim, rank, seed):
     for _ in range(3):
         rho = random_density_matrix(dim, rng)
         assert trace_distance(apply_chi(chi, rho, mub_set), apply_channel(ch, rho)) <= 1e-8
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(2, 5), rank=st.integers(1, 6), mu=st.floats(0.0, 0.2),
+       seed=st.integers(0, 2**32 - 1))
+def test_refinement_never_moves_away_from_true_map(dim, rank, mu, seed):
+    # the true map lies in the closed convex CPTP set, and projection onto
+    # such a set is non-expansive: |P(J_raw) - J_true| <= |J_raw - J_true|
+    mub_set, beta = basis_and_beta(dim)
+    ch = random_stinespring_channel(dim, rank, np.random.default_rng(seed))
+    noisy = perturb_probabilities(process_probabilities(ch, mub_set), mu, trial_rng(seed, 0, 0, 0))
+    raw = solve_chi(beta, noisy)
+    refined = refine_physical(raw, noisy, beta, mub_set)
+    j_true = choi_of_kraus(ch)
+    raw_dist = np.linalg.norm(choi_of_chi(raw, mub_set) - j_true)
+    refined_dist = np.linalg.norm(choi_of_chi(refined, mub_set) - j_true)
+    assert refined_dist <= raw_dist + 1e-12 * np.linalg.norm(j_true)

@@ -324,12 +324,48 @@ class TestExtractKraus:
 
     def test_rejects_deeply_negative_spectrum(self, set_d2, beta_d2):
         chi = solve_chi(beta_d2, process_probabilities(parse_channel_spec("dep:0.3", 2), set_d2))
-        _, u = np.linalg.eigh(chi.matrix)
-        bottom = u[:, 0]
-        bad = ChiMatrix(2, chi.matrix - 0.2 * np.outer(bottom, bottom.conj()))
+        _, u = np.linalg.eigh(choi_of_chi(chi, set_d2))
+        v = beta_d2.dual.conj().T @ u[:, 0]  # W+ u, so that J loses 0.5 u u^dag
+        bad = ChiMatrix(2, chi.matrix - 0.5 * np.outer(v, v.conj()))
+        assert np.linalg.eigvalsh(choi_of_chi(bad, set_d2))[0] < -0.3
         with pytest.raises(NumericalError) as exc:
             extract_kraus(bad, set_d2)
         assert "refine" in str(exc.value)
+
+    def test_null_frame_component_is_ignored(self, set_d3, beta_d3):
+        # chi and chi - 5 z z^dag, z in null(W), expand the same map
+        ch = random_stinespring_channel(3, 2, np.random.default_rng(11))
+        chi = solve_chi(beta_d3, process_probabilities(ch, set_d3))
+        r = np.random.default_rng(12).normal(size=12)
+        z = r - beta_d3.dual.conj().T @ (beta_d3.frame @ r)
+        z /= np.linalg.norm(z)
+        gauged = ChiMatrix(3, chi.matrix - 5.0 * np.outer(z, z.conj()))
+        assert np.linalg.eigvalsh(gauged.matrix)[0] < -4.0
+        ops = extract_kraus(chi, set_d3).operators
+        gauged_ops = extract_kraus(gauged, set_d3).operators
+        assert len(ops) == len(gauged_ops) == 2
+        for a, b in zip(ops, gauged_ops):  # equal up to the eigenvector phase
+            assert np.max(np.abs(np.outer(a, a.conj()) - np.outer(b, b.conj()))) <= 1e-10
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_operators_are_orthogonal(self, request, dim):
+        mub_set = request.getfixturevalue(f"set_d{dim}")
+        beta = request.getfixturevalue(f"beta_d{dim}")
+        ch = random_stinespring_channel(dim, dim * dim + 2, np.random.default_rng(dim))
+        ops = np.array(extract_kraus(solve_chi(beta, process_probabilities(ch, mub_set)),
+                                     mub_set).operators)
+        assert len(ops) <= dim * dim
+        gram = np.einsum("iab,jab->ij", ops.conj(), ops)
+        assert np.max(np.abs(gram - np.diag(np.diag(gram)))) <= 1e-10
+        assert np.max(np.abs(choi_of_kraus(KrausChannel(dim, tuple(ops), "x", {}))
+                             - choi_of_kraus(ch))) <= 1e-10
+
+    def test_cnot_is_one_operator(self, set_d4, beta_d4):
+        gate = make_cnot().operators[0]
+        chi = solve_chi(beta_d4, process_probabilities(make_cnot(), set_d4))
+        (op,) = extract_kraus(chi, set_d4).operators
+        phase = np.vdot(op, gate) / abs(np.vdot(op, gate))
+        assert np.max(np.abs(phase * op - gate)) <= 1e-10
 
 
 class TestRefinement:
