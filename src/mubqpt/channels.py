@@ -17,7 +17,7 @@ from .numerics import (
     as_complex_matrix,
     check_density_matrix,
     frobenius_norm,
-    json_int,
+    json_value,
     matrix_from_json,
     matrix_to_json,
     read_json_object,
@@ -251,8 +251,8 @@ def load_kraus(path, strict: bool = True) -> KrausChannel:
     sum A^dag A <= I is enforced at 1e-10."""
     obj = read_json_object(path, "Kraus")
     try:
-        dim = json_int(obj, "dim")
-        name = str(obj.get("name", "channel"))
+        dim = json_value(obj, "dim", int)
+        name = json_value(obj, "name", str) if "name" in obj else "channel"
         ops = tuple(matrix_from_json(o) for o in obj["operators"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed Kraus file {path}: {exc}") from exc

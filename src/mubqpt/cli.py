@@ -1,9 +1,10 @@
 """Command-line entry point.
 
 Subcommands: `mub gen|verify|complexity`, `channel apply|check`,
-`qpt run`, `sweep`. Every flag can also be supplied through a JSON
-config file (`--config FILE`, keys are the flag names with underscores,
-values of the flag's JSON type); explicit flags win over config values.
+`qpt run`, `sweep`. Each flag's default, type and choices are declared
+once, in `build_parser`. A JSON config file (`--config FILE`, keys are
+the flag names with underscores, values of the flag's JSON type, strings
+for flags without a type) sets flag defaults, so explicit flags win.
 Data goes to files or standard output, diagnostics to standard error.
 Exit codes: 0 success, 1 invalid input, 2 numerical failure.
 """
@@ -35,6 +36,7 @@ from .mub import (
 )
 from .numerics import (
     check_density_matrix,
+    json_value,
     matrix_from_json,
     matrix_to_json,
     read_json_object,
@@ -52,57 +54,35 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-# JSON types a config value may take, and their name, by its flag's kind
-_CONFIG_KINDS = {int: (int, "integer"), float: ((int, float), "number"), bool: (bool, "boolean")}
+def _config_defaults(parser: argparse.ArgumentParser, obj: dict) -> None:
+    """Make the values of a config object the defaults of a subcommand
+    parser, so that explicit flags win when argv is parsed again. A value
+    must have its flag's JSON type (`json_value` with the flag's `type`,
+    bool for an on/off flag, str without a type) and be one of its
+    `choices`; null, like an absent flag, keeps the declared default."""
+    actions = {a.dest: a for a in parser._actions if a.dest not in ("help", "config")}
+    unknown = sorted(set(obj) - set(actions))
+    if unknown:
+        raise ValidationError(f"unknown config keys: {', '.join(unknown)}")
+    values = {}
+    for key, val in obj.items():
+        if val is None:
+            continue
+        action = actions[key]
+        val = json_value(obj, key, bool if action.const is True else action.type or str)
+        if action.choices is not None and val not in action.choices:
+            raise ValidationError(
+                f"bad config value {key}={val!r}: choose from {', '.join(action.choices)}"
+            )
+        values[key] = val
+    parser.set_defaults(**values)
 
 
-def _merge(args: argparse.Namespace, defaults: dict) -> dict:
-    """defaults <- config file <- explicit flags.
-
-    A config value must have the JSON type of its flag (an integer for
-    `type=int`, a number for `type=float`, a boolean for an on/off flag)
-    and be one of the flag's `choices`, so it fails where the same value
-    would fail on the command line instead of being truncated or
-    reinterpreted. A null value, like an absent flag, keeps the default.
-    """
-    opts = dict(defaults)
-    ns = vars(args)
-    cfg_path = ns.get("config")
-    if cfg_path:
-        obj = read_json_object(cfg_path, "config")
-        unknown = sorted(set(obj) - set(defaults))
-        if unknown:
-            raise ValidationError(f"unknown config keys: {', '.join(unknown)}")
-        actions = {a.dest: a for a in args.parser._actions}
-        for key, val in obj.items():
-            if val is None:
-                continue
-            action = actions[key]
-            kind = bool if action.const is True else action.type
-            if kind is not None:
-                allowed, name = _CONFIG_KINDS[kind]
-                if isinstance(val, bool) != (kind is bool) or not isinstance(val, allowed):
-                    raise ValidationError(f"bad config value {key}={val!r}: expected a JSON {name}")
-                try:
-                    val = kind(val)
-                except OverflowError as exc:
-                    raise ValidationError(f"bad config value {key}={val!r}: {exc}") from exc
-            if action.choices is not None and val not in action.choices:
-                raise ValidationError(
-                    f"bad config value {key}={val!r}: choose from {', '.join(action.choices)}"
-                )
-            opts[key] = val
-    for key in defaults:
-        val = ns.get(key)
-        if val is not None:
-            opts[key] = val
-    return opts
-
-
-def _require(opts: dict, key: str):
-    if opts.get(key) is None:
+def _require(args, key: str):
+    val = getattr(args, key)
+    if val is None:
         raise ValidationError(f"missing required option --{key.replace('_', '-')}")
-    return opts[key]
+    return val
 
 
 def _emit(obj: dict, out_path) -> None:
@@ -112,28 +92,24 @@ def _emit(obj: dict, out_path) -> None:
         print(json.dumps(obj))
 
 
-def _channel_spec(opts: dict) -> str:
-    spec = str(_require(opts, "channel"))
-    param = opts.get("param")
-    if param is None:
+def _channel_spec(args) -> str:
+    spec = _require(args, "channel")
+    if args.param is None:
         return spec
     if ":" in spec:
         raise ValidationError(
             "give the channel parameter either in the spec or via --param, not both"
         )
-    return f"{spec}:{param}"
+    return f"{spec}:{args.param}"
 
 
 def cmd_mub_gen(args) -> None:
-    opts = _merge(args, {"dim": None, "out": None})
-    mub_set = generate_mub(int(_require(opts, "dim")))
-    _emit(mub_to_json(mub_set), opts["out"])
+    _emit(mub_to_json(generate_mub(_require(args, "dim"))), args.out)
 
 
 def cmd_mub_verify(args) -> None:
-    opts = _merge(args, {"in": None, "tol": 1e-10})
-    mub_set = load_mub(_require(opts, "in"), verify=False)
-    report = verify_mub(mub_set, float(opts["tol"]))
+    mub_set = load_mub(_require(args, "in"), verify=False)
+    report = verify_mub(mub_set, args.tol)
     _emit(
         {
             "dim": mub_set.dim,
@@ -151,17 +127,11 @@ def cmd_mub_verify(args) -> None:
 
 
 def cmd_mub_complexity(args) -> None:
-    opts = _merge(args, {"dim": None, "c_alpha": None, "factorization": None})
-    dim = int(_require(opts, "dim"))
+    dim = _require(args, "dim")
     mub_set = generate_mub(dim)
-    if opts["factorization"] is None:
-        dims = default_factorization(dim)
-    else:
-        dims = tuple(_parse_int_list(opts["factorization"], "factorization"))
-    if opts["c_alpha"] is None:
-        model = default_complexity(mub_set, dims)
-    else:
-        model = ComplexityModel(tuple(_parse_int_list(opts["c_alpha"], "c-alpha")), dims)
+    dims = _int_list(args, "factorization") or default_factorization(dim)
+    c_alpha = _int_list(args, "c_alpha")
+    model = default_complexity(mub_set, dims) if c_alpha is None else ComplexityModel(c_alpha, dims)
     totals = complexity_totals(model, dim)
     _emit(
         {
@@ -175,27 +145,25 @@ def cmd_mub_complexity(args) -> None:
     )
 
 
-def _parse_int_list(text, what: str) -> list[int]:
-    if isinstance(text, (list, tuple)):
-        items = list(text)
-    else:
-        items = str(text).split(",")
+def _int_list(args, key: str) -> tuple[int, ...] | None:
+    """A comma-separated integer flag as a tuple, None when not given."""
+    text = getattr(args, key)
+    if text is None:
+        return None
     try:
-        return [int(x) for x in items]
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"bad --{what} value {text!r}: {exc}") from exc
+        return tuple(int(x) for x in text.split(","))
+    except ValueError as exc:
+        raise ValidationError(f"bad --{key.replace('_', '-')} value {text!r}: {exc}") from exc
 
 
 def cmd_channel_apply(args) -> None:
-    opts = _merge(args, {"channel": None, "param": None, "state": None, "out": None})
-    rho = check_density_matrix(matrix_from_json(read_json_object(_require(opts, "state"), "state")))
-    ch = parse_channel_spec(_channel_spec(opts), rho.shape[0])
-    _emit(matrix_to_json(apply_channel(ch, rho)), opts["out"])
+    rho = check_density_matrix(matrix_from_json(read_json_object(_require(args, "state"), "state")))
+    ch = parse_channel_spec(_channel_spec(args), rho.shape[0])
+    _emit(matrix_to_json(apply_channel(ch, rho)), args.out)
 
 
 def cmd_channel_check(args) -> None:
-    opts = _merge(args, {"in": None})
-    ch = load_kraus(_require(opts, "in"), strict=False)
+    ch = load_kraus(_require(args, "in"), strict=False)
     checks = channel_checks(ch)
     _emit(
         {
@@ -211,69 +179,35 @@ def cmd_channel_check(args) -> None:
 
 
 def cmd_qpt_run(args) -> None:
-    opts = _merge(
-        args,
-        {
-            "dim": None,
-            "channel": None,
-            "param": None,
-            "mu": 0.0,
-            "seed": 0,
-            "refine": False,
-            "out": None,
-        },
-    )
-    dim = int(_require(opts, "dim"))
-    ch = parse_channel_spec(_channel_spec(opts), dim)
-    noise = NoiseConfig(float(opts["mu"]), int(opts["seed"]))  # range checks
+    dim = _require(args, "dim")
+    ch = parse_channel_spec(_channel_spec(args), dim)
+    noise = NoiseConfig(args.mu, args.seed)  # range checks
     mub_set = generate_mub(dim)
     beta = build_beta(mub_set)
-    res = run_trial(ch, mub_set, beta, noise.mu, noise.seed, bool(opts["refine"]))
+    res = run_trial(ch, mub_set, beta, noise.mu, noise.seed, args.refine)
     print(
         f"dim={dim} channel={ch.name} mu={noise.mu:g} rank={beta.rank} "
         f"asymmetry={res.chi.asymmetry:.3e} residual={res.chi.forward_residual:.3e} "
         f"fidelity={res.fidelity:.10f}",
         file=sys.stderr,
     )
-    _emit(chi_to_json(res.chi), opts["out"])
+    _emit(chi_to_json(res.chi), args.out)
 
 
 def cmd_sweep(args) -> None:
-    opts = _merge(
-        args,
-        {
-            "dim": 4,
-            "channels": "dep:0.1,ad:0.4,cnot",
-            "mu_start": 0.01,
-            "mu_end": 0.15,
-            "mu_step": 0.01,
-            "trials": 100,
-            "seed": 0,
-            "refine": False,
-            "format": "csv",
-            "out": None,
-            "aggregates_out": None,
-        },
-    )
-    out = _require(opts, "out")
-    if opts["format"] == "json" and opts["aggregates_out"] is not None:
+    out = _require(args, "out")
+    if args.format == "json" and args.aggregates_out is not None:
         raise ValidationError("--aggregates-out is for CSV; JSON output holds the aggregates")
-    dim = int(opts["dim"])
-    mub_set = generate_mub(dim)
-    specs = [s for s in str(opts["channels"]).split(",") if s.strip()]
+    mub_set = generate_mub(args.dim)
+    specs = [s for s in args.channels.split(",") if s.strip()]
     if not specs:
         raise ValidationError("no channels given")
-    channels = [parse_channel_spec(s, dim) for s in specs]
-    grid = default_mu_grid(float(opts["mu_start"]), float(opts["mu_end"]), float(opts["mu_step"]))
+    channels = [parse_channel_spec(s, args.dim) for s in specs]
+    grid = default_mu_grid(args.mu_start, args.mu_end, args.mu_step)
     result = run_sweep(
-        channels,
-        mub_set,
-        grid,
-        trials=int(opts["trials"]),
-        base_seed=int(opts["seed"]),
-        refine=bool(opts["refine"]),
+        channels, mub_set, grid, trials=args.trials, base_seed=args.seed, refine=args.refine
     )
-    export_results(result, str(opts["format"]), out, opts["aggregates_out"])
+    export_results(result, args.format, out, args.aggregates_out)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -281,15 +215,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.set_defaults(handler=None)
     sub = parser.add_subparsers(title="subcommands")
 
+    def group(name, helptext):
+        return sub.add_parser(name, help=helptext).add_subparsers(title="subcommands")
+
     def add(subparsers, name, handler, helptext):
         p = subparsers.add_parser(name, help=helptext, description=helptext)
         p.set_defaults(handler=handler, parser=p)
         p.add_argument("--config", help="JSON file mirroring the flags; flags override")
         return p
 
-    mub = sub.add_parser("mub", help="basis generation, checks, and costs")
-    mub.set_defaults(handler=None)
-    mub_sub = mub.add_subparsers(title="subcommands")
+    mub_sub = group("mub", "basis generation, checks, and costs")
 
     p = add(mub_sub, "gen", cmd_mub_gen, "generate a maximal basis set")
     p.add_argument("--dim", type=int, help="dimension (primes up to 23, or 4, 8)")
@@ -297,16 +232,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add(mub_sub, "verify", cmd_mub_verify, "check a basis file")
     p.add_argument("--in", help="basis file")
-    p.add_argument("--tol", type=float, help="tolerance (default 1e-10)")
+    p.add_argument("--tol", type=float, default=1e-10, help="tolerance (default %(default)g)")
 
     p = add(mub_sub, "complexity", cmd_mub_complexity, "measurement gate costs")
     p.add_argument("--dim", type=int, help="dimension")
     p.add_argument("--c-alpha", help="comma-separated per-basis costs override")
     p.add_argument("--factorization", help="comma-separated subsystem dims")
 
-    channel = sub.add_parser("channel", help="apply or inspect channels")
-    channel.set_defaults(handler=None)
-    channel_sub = channel.add_subparsers(title="subcommands")
+    channel_sub = group("channel", "apply or inspect channels")
 
     p = add(channel_sub, "apply", cmd_channel_apply, "apply a channel to a state")
     p.add_argument("--channel", help="spec name[:param], e.g. dep:0.1 or cnot")
@@ -317,29 +250,30 @@ def build_parser() -> argparse.ArgumentParser:
     p = add(channel_sub, "check", cmd_channel_check, "trace-preservation and unitality report")
     p.add_argument("--in", help="Kraus-operator JSON file")
 
-    qpt = sub.add_parser("qpt", help="process reconstruction")
-    qpt.set_defaults(handler=None)
-    qpt_sub = qpt.add_subparsers(title="subcommands")
+    qpt_sub = group("qpt", "process reconstruction")
 
     p = add(qpt_sub, "run", cmd_qpt_run, "reconstruct one channel")
     p.add_argument("--dim", type=int, help="dimension")
     p.add_argument("--channel", help="spec name[:param]")
     p.add_argument("--param", type=float, help="parameter if not in the spec")
-    p.add_argument("--mu", type=float, help="error amplitude (default 0)")
-    p.add_argument("--seed", type=int, help="noise seed (default 0)")
-    p.add_argument("--refine", action="store_const", const=True, help="positivity refinement")
+    p.add_argument("--mu", type=float, default=0.0, help="error amplitude (default %(default)g)")
+    p.add_argument("--seed", type=int, default=0, help="noise seed (default %(default)s)")
+    p.add_argument("--refine", action="store_true", help="positivity refinement")
     p.add_argument("--out", help="process-matrix output path (default: stdout)")
 
     p = add(sub, "sweep", cmd_sweep, "noise-robustness study over an error grid")
-    p.add_argument("--dim", type=int, help="dimension (default 4)")
-    p.add_argument("--channels", help="comma-separated specs (default dep:0.1,ad:0.4,cnot)")
-    p.add_argument("--mu-start", type=float, help="grid start (default 0.01)")
-    p.add_argument("--mu-end", type=float, help="grid end (default 0.15)")
-    p.add_argument("--mu-step", type=float, help="grid step (default 0.01)")
-    p.add_argument("--trials", type=int, help="trials per grid point (default 100)")
-    p.add_argument("--seed", type=int, help="base seed (default 0)")
-    p.add_argument("--refine", action="store_const", const=True, help="positivity refinement")
-    p.add_argument("--format", choices=("csv", "json"), help="output format (default csv)")
+    p.add_argument("--dim", type=int, default=4, help="dimension (default %(default)s)")
+    p.add_argument("--channels", default="dep:0.1,ad:0.4,cnot",
+                   help="comma-separated specs (default %(default)s)")
+    p.add_argument("--mu-start", type=float, default=0.01, help="grid start (default %(default)g)")
+    p.add_argument("--mu-end", type=float, default=0.15, help="grid end (default %(default)g)")
+    p.add_argument("--mu-step", type=float, default=0.01, help="grid step (default %(default)g)")
+    p.add_argument("--trials", type=int, default=100,
+                   help="trials per grid point (default %(default)s)")
+    p.add_argument("--seed", type=int, default=0, help="base seed (default %(default)s)")
+    p.add_argument("--refine", action="store_true", help="positivity refinement")
+    p.add_argument("--format", choices=("csv", "json"), default="csv",
+                   help="output format (default %(default)s)")
     p.add_argument("--out", help="row output path")
     p.add_argument("--aggregates-out", help="per-point aggregate CSV path")
 
@@ -351,10 +285,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        handler = getattr(args, "handler", None)
-        if handler is None:
+        if args.handler is None:
             raise ValidationError("no subcommand given (see mubqpt --help)")
-        handler(args)
+        if args.config is not None:
+            _config_defaults(args.parser, read_json_object(args.config, "config"))
+            args = parser.parse_args(argv)
+        args.handler(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

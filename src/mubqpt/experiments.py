@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from typing import get_type_hints
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from .errors import ValidationError
 from .mub import MubSet
 from .numerics import (
     check_density_matrix,
+    json_value,
     nearest_density_matrix,
     read_json_object,
     write_json_object,
@@ -60,6 +62,9 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
+# largest noise grid default_mu_grid builds; the default grid has 15 points
+_MAX_GRID_POINTS = 10_000
+
 
 @dataclass(frozen=True)
 class NoiseConfig:
@@ -74,6 +79,8 @@ class NoiseConfig:
             raise ValidationError(f"error amplitude {self.mu} outside [0, 1]")
         if self.trials < 1:
             raise ValidationError(f"trials must be >= 1, got {self.trials}")
+        if self.seed < 0:  # a seed sequence takes non-negative entropy only
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -172,15 +179,18 @@ def run_trial(
 
 
 def default_mu_grid(start: float = 0.01, end: float = 0.15, step: float = 0.01) -> list[float]:
-    """Inclusive grid of error amplitudes with rounding-clean values."""
+    """Inclusive grid of error amplitudes with rounding-clean values, at
+    most 10 000 points."""
     if not np.all(np.isfinite([start, end, step])):
         raise ValidationError(f"grid bounds and step must be finite, got {start}, {end}, {step}")
     if step <= 0:
         raise ValidationError(f"step must be positive, got {step}")
     if end < start:
         raise ValidationError(f"empty grid: end {end} < start {start}")
-    count = int(np.floor((end - start) / step + 1e-9)) + 1
-    return [round(start + k * step, 12) for k in range(count)]
+    count = np.floor((end - start) / step + 1e-9) + 1  # a float, so a huge count cannot overflow
+    if not count <= _MAX_GRID_POINTS:
+        raise ValidationError(f"grid of {count:g} points exceeds {_MAX_GRID_POINTS}")
+    return [round(start + k * step, 12) for k in range(int(count))]
 
 
 def default_channel_suite() -> list[KrausChannel]:
@@ -303,78 +313,50 @@ def concurrence_trace(
     return tuple(points)
 
 
+# the record lists of a results document, by key, and the field types of
+# each record type in declaration order: the JSON keys and the CSV columns
+_RECORDS = {"rows": SweepRow, "aggregates": SweepAggregate}
+_FIELDS = {cls: get_type_hints(cls) for cls in _RECORDS.values()}
+
+
 def export_results(result: SweepResult, fmt: str, path, aggregates_path=None) -> None:
     """Write rows (and optionally aggregates) as CSV, or both as one JSON
     document. Output bytes depend only on the result contents."""
     if fmt == "csv":
-        _write_rows_csv(result.rows, path)
+        _write_csv(path, SweepRow, [f"{r.mu!r},{r.channel},{r.trial},{r.fidelity!r},"
+                                    f"{'true' if r.refined else 'false'}\n" for r in result.rows])
         if aggregates_path is not None:
-            _write_aggregates_csv(result.aggregates, aggregates_path)
+            _write_csv(aggregates_path, SweepAggregate, [
+                f"{a.mu!r},{a.channel},{a.mean_fidelity!r},{a.std_fidelity!r},{a.trials}\n"
+                for a in result.aggregates])
     elif fmt == "json":
-        obj = {
-            "rows": [
-                {
-                    "mu": r.mu,
-                    "channel": r.channel,
-                    "trial": r.trial,
-                    "fidelity": r.fidelity,
-                    "refined": r.refined,
-                }
-                for r in result.rows
-            ],
-            "aggregates": [
-                {
-                    "mu": a.mu,
-                    "channel": a.channel,
-                    "mean_fidelity": a.mean_fidelity,
-                    "std_fidelity": a.std_fidelity,
-                    "trials": a.trials,
-                }
-                for a in result.aggregates
-            ],
-        }
+        obj = {key: [{name: getattr(rec, name) for name in _FIELDS[cls]}
+                     for rec in getattr(result, key)] for key, cls in _RECORDS.items()}
         write_json_object(path, obj, "results")
     else:
         raise ValidationError(f"unknown export format {fmt!r}; use csv or json")
 
 
-def _write_rows_csv(rows, path) -> None:
+def _write_csv(path, cls, lines: list) -> None:
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("mu,channel,trial,fidelity,refined\n")
-            for r in rows:
-                flag = "true" if r.refined else "false"
-                fh.write(f"{r.mu!r},{r.channel},{r.trial},{r.fidelity!r},{flag}\n")
-    except OSError as exc:
-        raise ValidationError(f"cannot write {path}: {exc}") from exc
-
-
-def _write_aggregates_csv(aggregates, path) -> None:
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("mu,channel,mean_fidelity,std_fidelity,trials\n")
-            for a in aggregates:
-                fh.write(
-                    f"{a.mu!r},{a.channel},{a.mean_fidelity!r},{a.std_fidelity!r},{a.trials}\n"
-                )
+            fh.write(",".join(_FIELDS[cls]) + "\n" + "".join(lines))
     except OSError as exc:
         raise ValidationError(f"cannot write {path}: {exc}") from exc
 
 
 def import_results(path) -> SweepResult:
-    """Read back a JSON export."""
+    """Read back a JSON export. Every record must be an object holding
+    each field of its record type with the field's JSON type."""
     obj = read_json_object(path, "results")
     try:
-        rows = tuple(
-            SweepRow(float(r["mu"]), str(r["channel"]), int(r["trial"]),
-                     float(r["fidelity"]), bool(r["refined"]))
-            for r in obj["rows"]
-        )
-        aggregates = tuple(
-            SweepAggregate(float(a["mu"]), str(a["channel"]), float(a["mean_fidelity"]),
-                           float(a["std_fidelity"]), int(a["trials"]))
-            for a in obj["aggregates"]
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        return SweepResult(**{key: tuple(_record_from_json(cls, rec) for rec in obj[key])
+                              for key, cls in _RECORDS.items()})
+    except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed results file {path}: {exc}") from exc
-    return SweepResult(rows, aggregates)
+
+
+def _record_from_json(cls, rec):
+    if not isinstance(rec, dict):
+        raise ValidationError(f"{cls.__name__} record {rec!r} is not a JSON object")
+    return cls(**{name: json_value(rec, name, kind) for name, kind in _FIELDS[cls].items()})

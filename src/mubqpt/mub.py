@@ -13,6 +13,7 @@ rows; the common eigenbases of the rows form the MUB set.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -20,7 +21,8 @@ from .errors import NumericalError, ValidationError
 from .numerics import (
     as_complex_matrix,
     hermiticity_defect,
-    json_int,
+    json_numbers,
+    json_value,
     read_json_object,
     write_json_object,
 )
@@ -105,6 +107,16 @@ class MubSet:
     def vectors(self) -> np.ndarray:
         """All D(D+1) basis vectors stacked in flat-index order."""
         return self.bases.reshape((self.dim + 1) * self.dim, self.dim)
+
+    @cached_property
+    def frame(self) -> np.ndarray:
+        """The read-only projector frame W of shape (D^2, D^2 + D), built
+        on first use: column a is vec(P_a), row-major, in flat-index
+        order, so the Choi matrix of a process matrix chi is W chi W^dag."""
+        v = self.vectors()
+        w = np.einsum("ad,ae->dea", v, v.conj()).reshape(self.dim**2, -1)
+        w.flags.writeable = False
+        return w
 
     def vector(self, gamma: int, m: int) -> np.ndarray:
         return self.bases[gamma, m - 1]
@@ -234,7 +246,7 @@ def generate_mub(dim: int) -> MubSet:
     """Dispatch on dimension: primes up to 23, or two-powers 4 and 8."""
     if dim in (4, 8):
         return generate_mub_two_power(dim.bit_length() - 1)
-    if _is_prime(dim) and dim <= _MAX_PRIME:
+    if dim <= _MAX_PRIME and _is_prime(dim):
         return generate_mub_prime(dim)
     raise ValidationError(
         f"dimension {dim} is not supported: D must be a prime power, and the "
@@ -415,10 +427,12 @@ def mub_to_json(mub_set: MubSet) -> dict:
 
 
 def mub_from_json(obj) -> MubSet:
-    """Parse the basis object; no unbiasedness check is done here."""
+    """Parse the basis object; every part of every vector component must
+    be a JSON number. No unbiasedness check is done here."""
     try:
-        dim = json_int(obj, "dim")
+        dim = json_value(obj, "dim", int)
         raw = obj["bases"]
+        json_numbers([x for basis in raw for vec in basis for z in vec for x in z], "basis data")
         bases = np.array(
             [[[complex(re, im) for re, im in vec] for vec in basis] for basis in raw],
             dtype=complex,

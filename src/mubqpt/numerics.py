@@ -3,6 +3,7 @@ norms, distances, and density-matrix utilities used by every other module."""
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 import numpy as np
 
@@ -20,7 +21,8 @@ __all__ = [
     "nearest_density_matrix",
     "matrix_to_json",
     "matrix_from_json",
-    "json_int",
+    "json_value",
+    "json_numbers",
     "read_json_object",
     "write_json_object",
 ]
@@ -146,12 +148,13 @@ def matrix_to_json(m) -> dict:
 
 
 def matrix_from_json(obj) -> np.ndarray:
-    """Parse the row-major [[re, im], ...] matrix object."""
+    """Parse the row-major [[re, im], ...] matrix object; every part of
+    every entry must be a JSON number."""
     try:
-        rows = json_int(obj, "rows")
-        cols = json_int(obj, "cols")
+        rows = json_value(obj, "rows", int)
+        cols = json_value(obj, "cols", int)
         data = list(obj["data"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed matrix object: {exc}") from exc
     if rows <= 0 or cols <= 0:
         raise ValidationError(f"matrix shape ({rows}, {cols}) is not positive")
@@ -160,19 +163,44 @@ def matrix_from_json(obj) -> np.ndarray:
             f"matrix data has {len(data)} entries, expected {rows * cols}"
         )
     try:
-        flat = np.array([complex(re, im) for re, im in data], dtype=complex)
+        if set(map(len, data)) != {2}:
+            raise ValueError("entries must be [re, im] pairs")
+        parts = json_numbers(list(chain.from_iterable(data)), "matrix data")
+        flat = np.array(parts, dtype=float).view(complex)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed matrix entry: {exc}") from exc
     return as_complex_matrix(flat.reshape(rows, cols))
 
 
-def json_int(obj: dict, key: str) -> int:
-    """obj[key] as a size read from a file: a JSON integer, never a
-    boolean or a float (2.7 is not silently truncated to 2)."""
+# the JSON types, and their name, that a value read as each Python kind may have
+_JSON_KINDS = {int: (int, "integer"), float: ((int, float), "number"),
+               bool: (bool, "boolean"), str: (str, "string")}
+
+
+def json_value(obj, key, kind: type):
+    """obj[key], read from a file or a config, as a `kind`: a JSON integer,
+    number, boolean or string for int, float, bool or str. Nothing is
+    coerced, so 2.7 is not truncated to 2, "false" is not True and 1 is
+    not a path."""
     val = obj[key]
-    if isinstance(val, bool) or not isinstance(val, int):
-        raise ValidationError(f"{key!r} must be a whole number, got {val!r}")
-    return int(val)
+    types, name = _JSON_KINDS[kind]
+    if isinstance(val, bool) != (kind is bool) or not isinstance(val, types):
+        raise ValidationError(f"{key!r} must be a JSON {name}, got {val!r}")
+    try:
+        return kind(val)
+    except OverflowError as exc:
+        raise ValidationError(f"{key!r} is out of range: {exc}") from exc
+
+
+def json_numbers(values, what: str) -> list:
+    """`values` if it is a list of JSON numbers: unless all entries are
+    plain ints and floats, each goes through json_value."""
+    if not isinstance(values, list):
+        raise ValidationError(f"{what} must be a JSON list")
+    if not set(map(type, values)) <= {int, float}:
+        for val in values:
+            json_value({what: val}, what, float)
+    return values
 
 
 def read_json_object(path, what: str) -> dict:

@@ -37,7 +37,8 @@ from .numerics import (
     frobenius_norm,
     hermitian_eig,
     hermiticity_defect,
-    json_int,
+    json_numbers,
+    json_value,
     matrix_from_json,
     matrix_to_json,
     read_json_object,
@@ -169,13 +170,6 @@ class ChiMatrix:
         object.__setattr__(self, "matrix", m)
 
 
-def _choi_frame(mub_set: MubSet) -> np.ndarray:
-    """W of shape (D^2, D^2 + D) with columns vec(P_a), row-major, so
-    that the Choi matrix of chi is J = W chi W^dag."""
-    v = mub_set.vectors()
-    return np.einsum("ad,ae->dea", v, v.conj()).reshape(mub_set.dim**2, -1)
-
-
 def _reshuffle(m: np.ndarray, d: int) -> np.ndarray:
     """Choi matrix <-> superoperator over the last two axes; the index
     swap is its own inverse."""
@@ -215,7 +209,7 @@ def reconstruct_state(p, mub_set: MubSet) -> np.ndarray:
     arr = np.asarray(p, dtype=float)
     if arr.shape != (n,):
         raise ValidationError(f"expected {n} probabilities, got shape {arr.shape}")
-    return (_choi_frame(mub_set) @ arr).reshape(d, d) - np.eye(d)
+    return (mub_set.frame @ arr).reshape(d, d) - np.eye(d)
 
 
 def process_probabilities(ch: KrausChannel, mub_set: MubSet) -> ProbabilityTensor:
@@ -234,7 +228,7 @@ def process_probabilities(ch: KrausChannel, mub_set: MubSet) -> ProbabilityTenso
 
 def build_beta(mub_set: MubSet) -> BetaMatrix:
     """The transfer matrix of `mub_set` as its projector frame."""
-    return BetaMatrix(mub_set.dim, _choi_frame(mub_set))
+    return BetaMatrix(mub_set.dim, mub_set.frame)
 
 
 def _solve_tables(beta: BetaMatrix, tables: np.ndarray) -> np.ndarray:
@@ -270,7 +264,7 @@ def apply_chi(chi: ChiMatrix, rho, mub_set: MubSet) -> np.ndarray:
     r = as_complex_matrix(rho)
     if r.shape != (d, d):
         raise ValidationError(f"state shape {r.shape} does not match dim {d}")
-    return (_reshuffle(_choi(_choi_frame(mub_set), chi.matrix), d) @ r.ravel()).reshape(d, d)
+    return (_reshuffle(_choi(mub_set.frame, chi.matrix), d) @ r.ravel()).reshape(d, d)
 
 
 def extract_kraus(chi: ChiMatrix, mub_set: MubSet) -> KrausChannel:
@@ -284,7 +278,7 @@ def extract_kraus(chi: ChiMatrix, mub_set: MubSet) -> KrausChannel:
     d = mub_set.dim
     if chi.dim != d:
         raise ValidationError(f"dim mismatch: chi {chi.dim}, basis {d}")
-    lam, u = hermitian_eig(_choi(_choi_frame(mub_set), chi.matrix))
+    lam, u = hermitian_eig(_choi(mub_set.frame, chi.matrix))
     if lam[0] < -_KRAUS_FLOOR:
         raise NumericalError(
             f"Choi matrix has eigenvalue {lam[0]:.3e} < -{_KRAUS_FLOOR:.1e}; "
@@ -423,13 +417,14 @@ def load_chi(path) -> ChiMatrix:
     if obj.get("index_order") != "gamma-major":
         raise ValidationError(f"process-matrix file {path} lacks index_order 'gamma-major'")
     try:
-        dim = json_int(obj, "dim")
+        dim = json_value(obj, "dim", int)
     except KeyError as exc:
         raise ValidationError(f"malformed process-matrix file {path}: {exc}") from exc
+    physical = json_value(obj, "physical", bool) if "physical" in obj else False
     m = matrix_from_json(obj)
     if hermiticity_defect(m) > 1e-8:
         raise ValidationError(f"process matrix in {path} is not Hermitian")
-    return ChiMatrix(dim, 0.5 * (m + m.conj().T), physical=bool(obj.get("physical", False)))
+    return ChiMatrix(dim, 0.5 * (m + m.conj().T), physical=physical)
 
 
 def save_probabilities(p: ProbabilityTensor, path) -> None:
@@ -441,8 +436,8 @@ def save_probabilities(p: ProbabilityTensor, path) -> None:
 def load_probabilities(path) -> ProbabilityTensor:
     obj = read_json_object(path, "probability")
     try:
-        dim = json_int(obj, "dim")
-        values = np.asarray(obj["values"], dtype=float)
+        dim = json_value(obj, "dim", int)
+        values = np.asarray(json_numbers(obj["values"], "probability values"), dtype=float)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed probability file {path}: {exc}") from exc
     return ProbabilityTensor(dim, values)

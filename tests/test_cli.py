@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -77,6 +78,16 @@ class TestMubCommands:
         assert code == 0
         obj = json.loads(out)
         assert obj["C"] == 7 and obj["qpt_gates"] == 4 * 49
+
+
+    def test_complexity_config_takes_comma_separated_strings(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dim": 4, "c_alpha": "1,1,1,2,2", "factorization": "2,2"}))
+        code, out, _ = run_cli(capsys, "mub", "complexity", "--config", str(cfg))
+        assert code == 0 and json.loads(out)["C"] == 7
+        cfg.write_text(json.dumps({"dim": 4, "c_alpha": [1, 1, 1, 2, 2]}))
+        code, out, err = run_cli(capsys, "mub", "complexity", "--config", str(cfg))
+        assert code == 1 and out == "" and err.startswith("error:") and "c_alpha" in err
 
 
 class TestChannelCommands:
@@ -166,6 +177,14 @@ class TestQptRun:
         )
         assert code == 1 and err.startswith("error:")
 
+    @pytest.mark.parametrize("command", [["qpt", "run", "--channel", "dep:0.2"],
+                                         ["sweep", "--channels", "dep:0.2", "--trials", "1"]])
+    def test_rejects_negative_seed(self, capsys, tmp_path, command):
+        code, out, err = run_cli(capsys, *command, "--dim", "2", "--seed", "-1",
+                                 "--out", str(tmp_path / "out"))
+        assert code == 1 and out == "" and err.startswith("error:") and "seed" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_channel(self, capsys):
         code, _, err = run_cli(capsys, "qpt", "run", "--dim", "2")
         assert code == 1 and "--channel" in err
@@ -187,6 +206,24 @@ class TestQptRun:
         cfg.write_text(json.dumps({"dim": 2, "channel": "dep:0.2", "refine": refine}))
         code, _, err = run_cli(capsys, "qpt", "run", "--config", str(cfg))
         assert code == 1 and err.startswith("error:") and "refine" in err
+
+
+    @pytest.mark.parametrize("bad", [{"out": 1}, {"out": True}, {"channel": 5}])
+    def test_config_string_flags_take_json_strings(self, capsys, tmp_path, bad):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dim": 2, "channel": "dep:0.2", **bad}))
+        code, out, err = run_cli(capsys, "qpt", "run", "--config", str(cfg))
+        assert code == 1 and out == "" and err.startswith("error:")
+        assert next(iter(bad)) in err
+
+    def test_flag_beats_config_string(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dim": 2, "channel": "ad:0.3", "out": str(tmp_path / "a.json")}))
+        code, _, err = run_cli(capsys, "qpt", "run", "--config", str(cfg),
+                               "--channel", "dep:0.2", "--out", str(tmp_path / "b.json"))
+        assert code == 0 and "channel=dep:0.2" in err
+        assert load_chi(tmp_path / "b.json").dim == 2
+        assert not (tmp_path / "a.json").exists()
 
 
 class TestSweepCommand:
@@ -258,6 +295,23 @@ class TestSweepCommand:
         code, _, err = run_cli(capsys, "sweep", "--dim", "2", "--channels", "dep:0.1",
                                flag, value, "--out", str(tmp_path / "rows.csv"))
         assert code == 1 and err.startswith("error:") and "finite" in err
+
+    @pytest.mark.parametrize("step", ["5e-324", "1e-300"])
+    def test_rejects_huge_grid_fast(self, capsys, tmp_path, monkeypatch, step):
+        monkeypatch.setattr("mubqpt.cli.run_sweep", _no_sweep)
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, "sweep", "--dim", "2", "--channels", "dep:0.1",
+                               "--mu-step", step, "--out", str(tmp_path / "rows.csv"))
+        assert code == 1 and err.startswith("error:") and "10000" in err
+        assert time.perf_counter() - start < 1.0
+
+    def test_help_shows_declared_defaults(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["sweep", "--help"])
+        out = capsys.readouterr().out
+        for text in ["dimension (default 4)", "(default dep:0.1,ad:0.4,cnot)",
+                     "grid start (default 0.01)", "(default 100)", "(default csv)"]:
+            assert text in out
 
     def test_repeat_runs_byte_identical(self, capsys, tmp_path):
         argv = ["sweep", "--dim", "2", "--channels", "ad:0.4",

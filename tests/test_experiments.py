@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -42,6 +43,8 @@ class TestNoiseConfig:
             NoiseConfig(1.01, 0, 10)
         with pytest.raises(ValidationError):
             NoiseConfig(0.1, 0, 0)
+        with pytest.raises(ValidationError, match="seed"):
+            NoiseConfig(0.1, -1, 10)
 
 
 class TestStreams:
@@ -125,6 +128,20 @@ class TestTrials:
     def test_grid_rejects_non_finite_values(self, bounds):
         with pytest.raises(ValidationError, match="finite"):
             default_mu_grid(*bounds)
+
+    @pytest.mark.parametrize("bounds", [
+        (0.01, 0.15, 5e-324), (0.01, 0.15, 1e-300), (0.0, 1.0, 1e-4), (-1e308, 1e308, 1.0),
+    ])
+    def test_grid_rejects_too_many_points(self, bounds):
+        # the point count is checked as a float before any list is built
+        start = time.perf_counter()
+        with pytest.raises(ValidationError, match="10000"):
+            default_mu_grid(*bounds)
+        assert time.perf_counter() - start < 1.0
+
+    def test_grid_size_bound_is_inclusive(self):
+        grid = default_mu_grid(0.0, 0.9999, 1e-4)
+        assert len(grid) == 10_000 and grid[-1] == 0.9999
 
 
 class TestSweep:
@@ -267,8 +284,26 @@ class TestExport:
         with pytest.raises(ValidationError):
             export_results(small_result, "xml", tmp_path / "res.xml")
 
-    def test_import_rejects_malformed(self, tmp_path):
+    def test_import_rejects_malformed(self, small_result, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"rows": 3}')
         with pytest.raises(ValidationError):
             import_results(path)
+        export_results(small_result, "json", path)
+        good = json.loads(path.read_text())
+        for key, index, field, value in [
+            ("rows", 0, "refined", "false"), ("rows", 1, "trial", 2.7),
+            ("aggregates", 0, "trials", True), ("rows", 2, "mu", "0.05"),
+            ("rows", 0, "fidelity", None), ("aggregates", 1, "channel", 4),
+        ]:
+            bad = json.loads(json.dumps(good))
+            bad[key][index][field] = value
+            path.write_text(json.dumps(bad))
+            with pytest.raises(ValidationError, match=field):
+                import_results(path)
+        for key in ("rows", "aggregates"):
+            bad = json.loads(json.dumps(good))
+            bad[key][0] = [0.02, "dep:0.2", 0, 0.9, False]
+            path.write_text(json.dumps(bad))
+            with pytest.raises(ValidationError, match="not a JSON object"):
+                import_results(path)

@@ -130,6 +130,11 @@ class TestDispatcher:
         assert s.dim == dim
         assert verify_mub(s).passed
 
+    def test_rejects_huge_prime_without_factoring(self):
+        # 2^61 - 1 is prime; the size bound is checked before primality
+        with pytest.raises(ValidationError, match="not supported"):
+            generate_mub(2**61 - 1)
+
     def test_rejects_dim_six(self):
         with pytest.raises(ValidationError) as exc:
             generate_mub(6)
@@ -318,6 +323,12 @@ class TestPersistence:
         path.write_text(json.dumps({"dim": 2, "bases": [[1, 2]]}))
         with pytest.raises(ValidationError):
             load_mub(path)
+        for entry in ([True, False], [1.0, "0"], ["1", 0.0]):
+            blob = mub_to_json(generate_mub(2))
+            blob["bases"][0][0][0] = entry
+            path.write_text(json.dumps(blob))
+            with pytest.raises(ValidationError, match="JSON number"):
+                load_mub(path)
 
     def test_load_rejects_dim_one(self, tmp_path):
         # two copies of [1] pass the pairwise-trace check at D=1

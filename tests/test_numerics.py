@@ -209,6 +209,18 @@ class TestMatrixJson:
         blob["data"][0][0] = [1.0]
         with pytest.raises(ValidationError):
             matrix_from_json(blob)
+        # complex() and numpy would read the boolean pairs as numbers
+        for entry in ([1.0], [True, False], [0.0, True], [1.0, "0"], [None, 0.0], "ab", 1.0):
+            blob = matrix_to_json(np.eye(2))
+            blob["data"][3] = entry
+            with pytest.raises(ValidationError):
+                matrix_from_json(blob)
+
+    def test_integer_entries_are_numbers(self):
+        blob = {"rows": 1, "cols": 2, "data": [[1, 0], [-0.0, 2]]}
+        back = matrix_from_json(blob)
+        assert np.array_equal(back, [[1.0, 2.0j]])
+        assert np.signbit(back[0, 1].real)
 
     @pytest.mark.parametrize("saver,make", [
         (save_chi, lambda: ChiMatrix(2, np.eye(6))),

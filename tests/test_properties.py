@@ -18,6 +18,7 @@ from mubqpt import (
     apply_chi,
     build_beta,
     generate_mub,
+    import_results,
     load_chi,
     load_kraus,
     load_mub,
@@ -37,7 +38,8 @@ from test_tomography import choi_of_chi, choi_of_kraus, random_stinespring_chann
 # keys the loaders look up, so that generated objects reach past the
 # first lookup often enough to exercise the deeper checks
 KEYS = ["dim", "values", "rows", "cols", "data", "index_order", "physical",
-        "bases", "operators", "name"]
+        "bases", "operators", "name", "aggregates", "mu", "channel", "trial",
+        "fidelity", "refined", "mean_fidelity", "std_fidelity", "trials"]
 
 scalars = (
     st.none()
@@ -55,6 +57,8 @@ json_values = st.recursive(
 )
 
 LOADERS = [load_chi, load_probabilities, load_kraus, load_mub]
+# import_results reads no size, so it joins the fuzz only
+FUZZED = LOADERS + [import_results]
 
 # one object that every loader accepts at D=2, so that a bad size put
 # into it is the only fault of the file
@@ -63,7 +67,7 @@ VALID = {**mub_to_json(generate_mub(2)), **matrix_to_json(np.eye(6)),
          "operators": [matrix_to_json(np.eye(2))]}
 
 
-@pytest.mark.parametrize("loader", LOADERS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("loader", FUZZED, ids=lambda f: f.__name__)
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(value=json_values)
@@ -78,6 +82,8 @@ VALID = {**mub_to_json(generate_mub(2)), **matrix_to_json(np.eye(6)),
                 "data": [[10**400, 0]], "index_order": "gamma-major",
                 "bases": [[[[10**400, 0]]]], "operators": [{"rows": 1, "cols": 1,
                                                             "data": [[10**400, 0]]}]})
+@example(value={"rows": [{"mu": 0.1, "channel": "x", "trial": 2.7, "fidelity": 1,
+                          "refined": "false"}, 3], "aggregates": [{"trials": True}]})
 def test_loader_returns_or_raises_validation_error(loader, value, tmp_path):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(value))

@@ -205,6 +205,26 @@ class TestBetaMatrix:
         with pytest.raises(ValueError):
             beta_d2.dual[0, 0] = 0.0
 
+    def test_basis_set_frame_is_built_once(self, monkeypatch):
+        mub_set = generate_mub(3)
+        calls = []
+        vectors = MubSet.vectors
+        monkeypatch.setattr(MubSet, "vectors", lambda self: calls.append(1) or vectors(self))
+        w = mub_set.frame
+        chi = ChiMatrix(3, np.eye(12))
+        beta = build_beta(mub_set)
+        apply_chi(chi, np.eye(3) / 3, mub_set)
+        extract_kraus(chi, mub_set)
+        reconstruct_state(np.full(12, 1 / 3), mub_set)
+        assert len(calls) == 1 and mub_set.frame is w and beta.frame is w
+        with pytest.raises(ValueError):
+            w[0, 0] = 0.0
+        monkeypatch.undo()
+        assert np.array_equal(w, build_beta(generate_mub(3)).frame)
+        # column a is vec(P_a), row-major, in flat-index order
+        cols = np.stack([p.matrix.ravel() for p in projectors(mub_set)], axis=1)
+        assert np.max(np.abs(w - cols)) <= 1e-15
+
     def test_dual_is_frame_pseudoinverse(self, beta_d3):
         w = beta_d3.frame
         assert np.max(np.abs(beta_d3.dual.conj().T - np.linalg.pinv(w))) <= 1e-12
@@ -521,7 +541,12 @@ class TestPersistence:
         for text in ('{"dim": 2}', '{"dim": 0, "values": []}',
                      '{"dim": -2, "values": [0.5, 0.5, 0.5, 0.5]}',
                      '{"dim": 2.7, "values": %s}' % ([0.5] * 36),
-                     '{"dim": 2.0, "values": %s}' % ([0.5] * 36)):
+                     '{"dim": 2.0, "values": %s}' % ([0.5] * 36),
+                     # numpy would read these entries as 0.5, 1.0 and 0.0
+                     json.dumps({"dim": 2, "values": ["0.5"] * 36}),
+                     json.dumps({"dim": 2, "values": [True] + [0.5] * 35}),
+                     json.dumps({"dim": 2, "values": [0.5] * 35 + [False]}),
+                     json.dumps({"dim": 2, "values": "0.5"})):
             path.write_text(text)
             with pytest.raises(ValidationError):
                 load_probabilities(path)
@@ -534,6 +559,15 @@ class TestPersistence:
                "data": [[1, 0], [0, 0], [0, 0], [1, 0]]}
         path.write_text(json.dumps(obj))
         with pytest.raises(ValidationError):
+            load_chi(path)
+
+    @pytest.mark.parametrize("physical", ["false", 0, None])
+    def test_chi_load_rejects_non_boolean_physical(self, set_d2, beta_d2, tmp_path, physical):
+        chi = solve_chi(beta_d2, process_probabilities(parse_channel_spec("bpf:0.3", 2), set_d2))
+        path = tmp_path / "chi.json"
+        save_chi(chi, path)
+        path.write_text(json.dumps({**json.loads(path.read_text()), "physical": physical}))
+        with pytest.raises(ValidationError, match="physical"):
             load_chi(path)
 
     @pytest.mark.parametrize("text", ["[]", "null", "3", '"x"'])
