@@ -51,6 +51,8 @@ CHANNEL_ALIASES = {
 
 _SHORT_NAMES = {v: k for k, v in CHANNEL_ALIASES.items()}
 
+_CHECK_TOL = 1e-10  # channel_checks' bound on each residual norm
+
 
 @dataclass(frozen=True)
 class KrausChannel:
@@ -174,15 +176,16 @@ def apply_channel(ch: KrausChannel, rho) -> np.ndarray:
     return out
 
 
-def channel_checks(ch: KrausChannel, tol: float = 1e-10) -> ChannelChecks:
+def channel_checks(ch: KrausChannel) -> ChannelChecks:
     """Report trace preservation (sum A^dag A = I) and unitality
-    (sum A A^dag = I) with their residual norms."""
+    (sum A A^dag = I), each up to a residual norm of 1e-10, with the
+    residual norms."""
     eye = np.eye(ch.dim)
     s_tp = sum(a.conj().T @ a for a in ch.operators)
     s_un = sum(a @ a.conj().T for a in ch.operators)
     r_tp = frobenius_norm(s_tp - eye)
     r_un = frobenius_norm(s_un - eye)
-    return ChannelChecks(r_tp <= tol, r_un <= tol, r_tp, r_un)
+    return ChannelChecks(r_tp <= _CHECK_TOL, r_un <= _CHECK_TOL, r_tp, r_un)
 
 
 def concurrence(rho) -> float:

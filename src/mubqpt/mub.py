@@ -5,10 +5,10 @@ overlaps all satisfy |<psi_m^(g)|psi_n^(b)>|^2 = 1/D. Bases carry labels
 g in 0..D, states m in 1..D, and every projector gets the flat index
 flat = g*D + (m-1) that fixes the vectorization order used repo-wide.
 
-Prime dimensions use the computational basis plus quadratic Gauss-sum
-bases (sigma_z/x/y eigenbases for D=2). Two-power dimensions 4 and 8 come
-from fixed partitions of the nontrivial Pauli strings into commuting
-rows; the common eigenbases of the rows form the MUB set.
+Odd prime dimensions use the computational basis plus quadratic
+Gauss-sum bases. Two-power dimensions 2, 4 and 8 come from fixed
+partitions of the nontrivial Pauli strings into commuting rows; the
+common eigenbases of the rows form the MUB set.
 """
 from __future__ import annotations
 
@@ -81,7 +81,9 @@ PAULI_PARTITION: dict[int, tuple[tuple[str, ...], ...]] = {
 }
 
 _MAX_PRIME = 23
-_WEIGHT_RETRY_SEED = 0x6d7562
+# common_eigenbasis bounds on the commutators, the weighted-eigenvalue gap and
+# the joint-eigenvector residuals; factorizability's bound on 1 - Schmidt max
+_COMMUTE_TOL, _GAP_TOL, _RESIDUAL_TOL, _PRODUCT_TOL = 1e-10, 1e-6, 1e-8, 1e-10
 
 
 @dataclass(frozen=True)
@@ -196,8 +198,8 @@ def generate_mub_prime(p: int) -> MubSet:
 
     Basis 0 is computational. For odd p, basis a+1 (a = 0..p-1) holds the
     vectors with components exp(2*pi*i*(a*k^2 + b*k)/p)/sqrt(p), b = 0..p-1.
-    For p = 2 that quadratic construction fails, so the sigma_z, sigma_x,
-    sigma_y eigenbases are used instead.
+    For p = 2 that quadratic construction fails, so the set is the
+    Pauli-partition one, generate_mub_two_power(1).
     """
     if not _is_prime(p):
         raise ValidationError(
@@ -207,16 +209,7 @@ def generate_mub_prime(p: int) -> MubSet:
     if p > _MAX_PRIME:
         raise ValidationError(f"prime {p} exceeds the supported bound {_MAX_PRIME}")
     if p == 2:
-        s = 1.0 / np.sqrt(2.0)
-        bases = np.array(
-            [
-                [[1, 0], [0, 1]],
-                [[s, s], [s, -s]],
-                [[s, 1j * s], [s, -1j * s]],
-            ],
-            dtype=complex,
-        )
-        return MubSet(2, bases, "analytic-prime")
+        return generate_mub_two_power(1)
     bases = np.empty((p + 1, p, p), dtype=complex)
     bases[0] = np.eye(p)
     k = np.arange(p)
@@ -254,20 +247,15 @@ def generate_mub(dim: int) -> MubSet:
     )
 
 
-def common_eigenbasis(
-    ops,
-    commute_tol: float = 1e-10,
-    gap_tol: float = 1e-6,
-    residual_tol: float = 1e-8,
-) -> list[np.ndarray]:
+def common_eigenbasis(ops) -> list[np.ndarray]:
     """Simultaneous orthonormal eigenbasis of commuting Hermitian matrices.
 
     Diagonalizes the weighted sum sum_k w_k O_k with w = (1, 3, 9, ...);
-    distinct joint eigenvalue patterns then separate whenever the
-    operators have +-1 spectra. On an eigenvalue collision the weights
-    are re-randomized up to 5 times before giving up. Vectors are sorted
-    by descending per-operator eigenvalue tuple and phase-normalized so
-    the first nonzero component is real positive.
+    for +-1 spectra each joint eigenvalue pattern then has its own
+    weighted eigenvalue (balanced ternary), and a gap below 1e-6 raises
+    NumericalError. Vectors are sorted by descending per-operator
+    eigenvalue tuple and phase-normalized so the first nonzero component
+    is real positive.
     """
     mats = [as_complex_matrix(op) for op in ops]
     if not mats:
@@ -283,35 +271,26 @@ def common_eigenbasis(
         for j in range(i + 1, len(mats)):
             comm = mats[i] @ mats[j] - mats[j] @ mats[i]
             worst = max(worst, float(np.abs(comm).max()))
-    if worst > commute_tol:
+    if worst > _COMMUTE_TOL:
         raise ValidationError(
             f"operators do not commute: max commutator entry {worst:.3e}"
         )
 
-    rng = np.random.default_rng(_WEIGHT_RETRY_SEED)
-    base = 3.0 ** np.arange(len(mats))
-    vecs = None
-    for attempt in range(6):
-        w = base if attempt == 0 else base * rng.uniform(0.5, 1.5, len(mats))
-        h = sum(wk * m for wk, m in zip(w, mats))
-        evals, evecs = np.linalg.eigh(h)
-        if dim == 1 or np.diff(evals).min() > gap_tol:
-            vecs = [evecs[:, i] for i in range(dim)]
-            break
-    if vecs is None:
-        raise NumericalError(
-            "simultaneous eigenbasis is degenerate after 5 weight retries"
-        )
+    h = sum(wk * m for wk, m in zip(3.0 ** np.arange(len(mats)), mats))
+    evals, evecs = np.linalg.eigh(h)
+    gap = np.diff(evals).min() if dim > 1 else np.inf
+    if not gap > _GAP_TOL:
+        raise NumericalError(f"simultaneous eigenbasis is degenerate: eigenvalue gap {gap:.3e}")
 
     keyed = []
-    for v in vecs:
+    for v in evecs.T:
         lams = []
         for m in mats:
             lam = float(np.real(v.conj() @ m @ v))
             resid = float(np.linalg.norm(m @ v - lam * v))
-            if resid > residual_tol:
+            if resid > _RESIDUAL_TOL:
                 raise NumericalError(
-                    f"joint eigenvector residual {resid:.3e} exceeds {residual_tol:.1e}"
+                    f"joint eigenvector residual {resid:.3e} exceeds {_RESIDUAL_TOL:.1e}"
                 )
             lams.append(lam)
         keyed.append((tuple(-round(lam, 9) for lam in lams), v))
@@ -329,23 +308,19 @@ def verify_mub(mub_set: MubSet, tol: float = 1e-10) -> MubReport:
 
     Same-basis pairs must reproduce delta_mn, cross-basis pairs 1/D. The
     report carries the worst deviation of each kind; a single pass flag
-    covers both (the table implies orthonormality and unbiasedness).
+    covers both (the table implies orthonormality and unbiasedness); a
+    NaN entry fails it. tol must be finite and positive.
     """
-    if tol <= 0:
-        raise ValidationError(f"tolerance must be positive, got {tol}")
+    if not 0.0 < tol < np.inf:
+        raise ValidationError(f"tolerance must be finite and positive, got {tol}")
     d = mub_set.dim
     v = mub_set.vectors()
     table = np.abs(v.conj() @ v.T) ** 2  # Tr(P_i P_j) = |<i|j>|^2
-    same = 0.0
-    cross = 0.0
-    for g in range(d + 1):
-        for b in range(d + 1):
-            block = table[g * d : (g + 1) * d, b * d : (b + 1) * d]
-            if g == b:
-                same = max(same, float(np.abs(block - np.eye(d)).max()))
-            else:
-                cross = max(cross, float(np.abs(block - 1.0 / d).max()))
-    return MubReport(same, cross, tol, max(same, cross) <= tol)
+    same_basis = np.kron(np.eye(d + 1, dtype=bool), np.ones((d, d), dtype=bool))
+    dev = np.abs(table - np.where(same_basis, np.eye(len(v)), 1.0 / d))
+    same = float(dev[same_basis].max())
+    cross = float(dev[~same_basis].max())
+    return MubReport(same, cross, tol, same <= tol and cross <= tol)
 
 
 def projectors(mub_set: MubSet) -> list[Projector]:
@@ -365,9 +340,9 @@ def default_factorization(dim: int) -> tuple[int, ...]:
     return (dim,)
 
 
-def factorizability(basis, factorization, tol: float = 1e-10) -> bool:
+def factorizability(basis, factorization) -> bool:
     """True iff every vector is a product state across every cut of the
-    factorization (largest Schmidt coefficient 1 within tol)."""
+    factorization (largest Schmidt coefficient 1 within 1e-10)."""
     dims = tuple(int(x) for x in factorization)
     vecs = [np.asarray(v, dtype=complex).ravel() for v in basis]
     if not vecs:
@@ -385,7 +360,7 @@ def factorizability(basis, factorization, tol: float = 1e-10) -> bool:
         for d in dims[:-1]:
             left *= d
             s = np.linalg.svd(v.reshape(left, -1), compute_uv=False)
-            if s[0] / norm < 1.0 - tol:
+            if s[0] / norm < 1.0 - _PRODUCT_TOL:
                 return False
     return True
 
@@ -447,17 +422,17 @@ def save_mub(mub_set: MubSet, path) -> None:
     write_json_object(path, mub_to_json(mub_set), "basis")
 
 
-def load_mub(path, tol: float = 1e-10, verify: bool = True) -> MubSet:
+def load_mub(path, verify: bool = True) -> MubSet:
     """Read a basis file; unless verify=False, reject sets failing the
-    pairwise-trace check at tol."""
+    pairwise-trace check at verify_mub's default tolerance."""
     mub_set = mub_from_json(read_json_object(path, "basis"))
     if verify:
-        report = verify_mub(mub_set, tol)
+        report = verify_mub(mub_set)
         if not report.passed:
             raise ValidationError(
                 f"basis file {path} fails verification: "
                 f"orthonormality off by {report.max_orthonormality_violation:.3e}, "
                 f"unbiasedness off by {report.max_unbiasedness_violation:.3e} "
-                f"(tol {tol:.1e})"
+                f"(tol {report.tol:.1e})"
             )
     return mub_set

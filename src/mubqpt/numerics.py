@@ -9,6 +9,9 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 
+# hermitian_eig's bound on |M - M^dag|; svd_pseudoinverse's relative rank cutoff
+_HERMITIAN_TOL, _RANK_TOL = 1e-8, 1e-10
+
 __all__ = [
     "as_complex_matrix",
     "hermiticity_defect",
@@ -48,40 +51,38 @@ def frobenius_norm(m) -> float:
     return float(np.linalg.norm(np.asarray(m, dtype=complex)))
 
 
-def hermitian_eig(m, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eig(m) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
     Returns (eigenvalues, eigenvectors): real eigenvalues in ascending
     order and an orthonormal set of eigenvectors as matrix columns.
-    Rejects non-square or non-Hermitian input, naming the violated
-    check and its magnitude.
+    Rejects non-square input, and input whose largest |M - M^dag| entry
+    exceeds 1e-8, naming the violated check and its magnitude.
     """
     a = as_complex_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise ValidationError(f"matrix is not square: shape {a.shape}")
     defect = hermiticity_defect(a)
-    if defect > tol:
+    if defect > _HERMITIAN_TOL:
         raise ValidationError(
-            f"matrix is not Hermitian: max |M - M^dag| entry = {defect:.3e} > {tol:.1e}"
+            f"matrix is not Hermitian: max |M - M^dag| entry = {defect:.3e} > {_HERMITIAN_TOL:.1e}"
         )
     return np.linalg.eigh(a)
 
 
-def svd_pseudoinverse(m, tol: float = 1e-10) -> tuple[np.ndarray, int, np.ndarray]:
+def svd_pseudoinverse(m) -> tuple[np.ndarray, int, np.ndarray]:
     """Moore-Penrose pseudoinverse via SVD with a relative rank cutoff.
 
     Returns (pinv, rank, singular_values). Rank counts singular values
-    above tol * (largest singular value); the remainder are treated as
-    an exact nullspace. An all-zero matrix yields the zero matrix of
+    above 1e-10 * (largest singular value); the remainder are treated
+    as an exact nullspace. An all-zero matrix yields the zero matrix of
     transposed shape and rank 0.
     """
-    if tol <= 0:
-        raise ValidationError(f"rank tolerance must be positive, got {tol}")
     a = as_complex_matrix(m)
     u, s, vh = np.linalg.svd(a, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((a.shape[1], a.shape[0]), dtype=complex), 0, s
-    rank = int(np.count_nonzero(s > tol * s[0]))
+    rank = int(np.count_nonzero(s > _RANK_TOL * s[0]))
     inv = np.zeros_like(s)
     inv[:rank] = 1.0 / s[:rank]
     pinv = (vh.conj().T * inv) @ u.conj().T
@@ -203,12 +204,17 @@ def json_numbers(values, what: str) -> list:
     return values
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def read_json_object(path, what: str) -> dict:
-    """Parse a JSON file whose top level must be an object; unreadable,
-    undecodable or non-object content raises ValidationError."""
+    """Parse an RFC 8259 JSON file whose top level must be an object;
+    unreadable, undecodable or non-object content, and Python's NaN,
+    Infinity and -Infinity literals, raise ValidationError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+            obj = json.load(fh, parse_constant=_reject_constant)
     except (OSError, ValueError) as exc:
         raise ValidationError(f"cannot read {what} file {path}: {exc}") from exc
     if not isinstance(obj, dict):

@@ -325,10 +325,7 @@ def refinement_objective(
 
 
 def refine_physical(
-    chi_raw: ChiMatrix,
-    p: ProbabilityTensor | None,
-    beta: BetaMatrix | None,
-    mub_set: MubSet,
+    chi_raw: ChiMatrix, p: ProbabilityTensor, beta: BetaMatrix, mub_set: MubSet
 ) -> ChiMatrix:
     """Nearest CPTP map to chi_raw in the Frobenius norm of the Choi matrix.
 
@@ -338,8 +335,8 @@ def refine_physical(
     1e-12 |J|, or at the round cap with converged=False. Mapped back by
     chi = W+ J W+^dag, the result is positive semidefinite and the
     minimum-norm process matrix of that map, as `solve_chi` gives. The
-    worst |Tr E(P_b) - 1| is recorded, and |beta chi - p| when p is
-    supplied. W and W+ come from beta, built from mub_set when None.
+    worst |Tr E(P_b) - 1| and the residual |beta chi - p| against the
+    measured table p are recorded. W and W+ come from beta.
     """
     d = mub_set.dim
     target = as_complex_matrix(chi_raw.matrix)
@@ -347,9 +344,7 @@ def refine_physical(
         raise ValidationError(f"dim mismatch: chi {chi_raw.dim}, basis {d}")
     if hermiticity_defect(target) > 1e-8:
         raise ValidationError("raw process matrix must be Hermitian")
-    if beta is None:
-        beta = build_beta(mub_set)
-    elif beta.dim != d:
+    if beta.dim != d:
         raise ValidationError(f"dim mismatch: beta {beta.dim}, basis {d}")
     w, dual = beta.frame, beta.dual
 
@@ -374,7 +369,7 @@ def refine_physical(
     chi = dual.conj().T @ x @ dual
     chi = 0.5 * (chi + chi.conj().T)
     table = _forward(w, chi, d)  # row b sums Tr(P_s E(P_b)) over each basis
-    resid = None if p is None else float(np.linalg.norm(table.ravel() - p.values))
+    resid = float(np.linalg.norm(table.ravel() - p.values))
     tp = float(np.abs(table[:, :d].sum(axis=1) - 1.0).max())
     return ChiMatrix(d, chi, physical=True, forward_residual=resid,
                      tp_max_violation=tp, converged=converged)

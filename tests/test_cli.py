@@ -64,6 +64,19 @@ class TestMubCommands:
         assert json.loads(out)["pass"] is False
         assert "error" in err
 
+    @pytest.mark.parametrize("flags,config", [
+        (["--tol", "nan"], "{}"), (["--tol", "inf"], "{}"),
+        ([], '{"tol": NaN}'), ([], '{"tol": Infinity}'),
+    ], ids=["flag-nan", "flag-inf", "config-nan", "config-infinity"])
+    def test_verify_rejects_non_finite_tol(self, capsys, tmp_path, set_d2, flags, config):
+        path = tmp_path / "mub.json"
+        save_mub(set_d2, path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(config)
+        code, out, err = run_cli(capsys, "mub", "verify", "--in", str(path),
+                                 "--config", str(cfg), *flags)
+        assert code == 1 and out == "" and err.startswith("error:")
+
     def test_complexity_defaults(self, capsys):
         code, out, _ = run_cli(capsys, "mub", "complexity", "--dim", "4")
         assert code == 0

@@ -5,6 +5,7 @@ import pytest
 
 from mubqpt import (
     ComplexityModel,
+    MubSet,
     NumericalError,
     ValidationError,
     common_eigenbasis,
@@ -202,6 +203,11 @@ class TestVerification:
         assert not report.passed
         assert report.max_orthonormality_violation > 1e-3
 
+    def test_nan_entry_fails(self, set_d4):
+        bases = set_d4.bases.copy()
+        bases[2, 1, 3] = np.nan
+        assert not verify_mub(MubSet(4, bases, "test")).passed
+
 
 class TestProjectorsAndIndexing:
     def test_counts(self):
@@ -311,7 +317,7 @@ class TestPersistence:
         path = tmp_path / "broken.json"
         path.write_text(json.dumps(blob))
         with pytest.raises(ValidationError):
-            load_mub(path, tol=1e-10)
+            load_mub(path)
         # but loads with verification disabled
         assert load_mub(path, verify=False).dim == 2
 

@@ -100,14 +100,24 @@ def test_valid_file_loads(loader, tmp_path):
     assert loader(path).dim == 2
 
 
-@pytest.mark.parametrize("loader", LOADERS, ids=lambda f: f.__name__)
+# Python's json literals that RFC 8259 does not allow
+CONSTANTS = [b"NaN", b"Infinity", b"-Infinity"]
+
+
+@pytest.mark.parametrize("loader", FUZZED, ids=lambda f: f.__name__)
 @pytest.mark.parametrize("raw", [
     b'{"dim": 1e999}', b"\xff",
     json.dumps({**VALID, "dim": 2.7}).encode(),
     json.dumps({**VALID, "dim": 2.0}).encode(),
     json.dumps({**VALID, "dim": True}).encode(),
-], ids=["overflow", "not-utf8", "dim-fraction", "dim-float", "dim-bool"])
+    *CONSTANTS,
+], ids=["overflow", "not-utf8", "dim-fraction", "dim-float", "dim-bool",
+        "nan", "infinity", "-infinity"])
 def test_loader_rejects_overflow_and_bad_encoding(loader, raw, tmp_path):
+    if raw in CONSTANTS:
+        # a file the loader accepts, but for the constant in a key it never reads
+        valid = {"rows": [], "aggregates": []} if loader is import_results else VALID
+        raw = json.dumps({**valid, "note": float(raw)}).encode()
     path = tmp_path / "input.json"
     path.write_bytes(raw)
     with pytest.raises(ValidationError):

@@ -450,12 +450,13 @@ class TestRefinement:
         with pytest.raises(ValidationError):
             refine_physical(raw, p, beta_d4, set_d2)
 
-    def test_rejects_non_hermitian_raw(self, set_d2):
+    def test_rejects_non_hermitian_raw(self, set_d2, beta_d2):
         m = np.zeros((6, 6), dtype=complex)
         m[0, 1] = 1.0
         raw = ChiMatrix(2, m)
+        p = process_probabilities(parse_channel_spec("dep:0.3", 2), set_d2)
         with pytest.raises(ValidationError):
-            refine_physical(raw, None, None, set_d2)
+            refine_physical(raw, p, beta_d2, set_d2)
 
     def test_gradient_matches_finite_differences(self, set_d2, rng):
         n = 6
