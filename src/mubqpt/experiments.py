@@ -7,13 +7,16 @@ bias, not zero-mean noise; it is applied verbatim. Each trial re-solves
 the process matrix from the corrupted tensor and scores it against the
 exact one. Sweeps walk a grid of error amplitudes with a fixed number of
 trials per point and fully deterministic per-trial random streams, so a
-sweep is reproducible bit for bit. The trials of one point are solved in
-blocks of 16 as stacked dual-frame products, which give the one-trial
-solve bit for bit, so rows do not depend on the block size.
+sweep is reproducible bit for bit. The trials of one point run in blocks
+of 16: the noise is drawn into one array and range-checked once, the
+tables are solved by stacked dual-frame products and the fidelities are
+scored by one stacked product. Each per-trial function is the one-trial
+case of its block kernel, so rows do not depend on the block size.
 """
 from __future__ import annotations
 
 import logging
+import time
 from dataclasses import dataclass
 from typing import get_type_hints
 
@@ -33,6 +36,8 @@ from .tomography import (
     BetaMatrix,
     ChiMatrix,
     ProbabilityTensor,
+    _check_probabilities,
+    _fidelities,
     _solve_tables,
     apply_chi,
     build_beta,
@@ -131,6 +136,29 @@ def trial_rng(base_seed: int, channel_index: int, mu_index: int, trial_index: in
     return np.random.Generator(np.random.Philox(ss))
 
 
+def _perturb_tables(exact: ProbabilityTensor, mu: float, rngs) -> np.ndarray:
+    """The noisy tables of k trials as a (k, n^2) array: row i is
+    `exact` + mu * zeta_i with zeta_i drawn from rngs[i], renormalized
+    to unit sum within each (input, outcome-basis) group of D entries.
+    The caller range-checks the block: ProbabilityTensor for one table,
+    _check_probabilities for a block.
+
+    mu = 0 returns copies of the exact table and draws nothing (a
+    renormalization pass could disturb the last bits).
+    """
+    if mu < 0:
+        raise ValidationError(f"error amplitude must be >= 0, got {mu}")
+    if mu == 0.0:
+        return np.tile(exact.values, (len(rngs), 1))
+    z = np.empty((len(rngs), exact.values.size))
+    for row, rng in zip(z, rngs):
+        rng.random(out=row)
+    vals = exact.values + mu * z
+    grouped = vals.reshape(len(rngs), -1, exact.dim)
+    grouped /= grouped.sum(axis=-1, keepdims=True)
+    return vals
+
+
 def perturb_probabilities(
     p: ProbabilityTensor, mu: float, rng: np.random.Generator
 ) -> ProbabilityTensor:
@@ -140,14 +168,7 @@ def perturb_probabilities(
     mu = 0 returns the input values unchanged (no renormalization pass,
     which could disturb the last bits).
     """
-    if mu < 0:
-        raise ValidationError(f"error amplitude must be >= 0, got {mu}")
-    if mu == 0.0:
-        return ProbabilityTensor(p.dim, p.values.copy())
-    vals = p.values + mu * rng.random(p.values.shape)
-    grouped = vals.reshape(-1, p.dim)
-    grouped /= grouped.sum(axis=1, keepdims=True)
-    return ProbabilityTensor(p.dim, grouped.reshape(-1))
+    return ProbabilityTensor(p.dim, _perturb_tables(p, mu, [rng])[0])
 
 
 def run_trial(
@@ -219,19 +240,20 @@ _BLOCK = 16
 
 
 def _trial_estimates(exact, mu, beta, base_seed, ch_idx, mu_idx, trials):
-    """(noisy table, raw estimate) for trials 0..trials-1 of one noise
-    point, in trial order. Each table is drawn from its own trial_rng
-    stream; _BLOCK tables at a time are solved by one stacked dual-frame
-    product, which gives the matrix solve_chi gives bit for bit (the
-    asymmetry and forward residual are not computed)."""
+    """(noisy tables, raw estimates) of trials 0..trials-1 of one noise
+    point, in trial order, _BLOCK trials at a time: a (k, n^2) block of
+    tables, each drawn from its own trial_rng stream and checked as one
+    array, and the (k, n, n) stack of their Hermitian estimates, solved
+    by one stacked dual-frame product. Each estimate is the matrix
+    solve_chi gives bit for bit (the asymmetry and forward residual are
+    not computed)."""
     for start in range(0, trials, _BLOCK):
-        noisy = [
-            perturb_probabilities(exact, mu, trial_rng(base_seed, ch_idx, mu_idx, t))
-            for t in range(start, min(start + _BLOCK, trials))
-        ]
-        m = _solve_tables(beta, np.stack([p.values for p in noisy]))
-        for p, h in zip(noisy, 0.5 * (m + m.conj().swapaxes(-1, -2))):
-            yield p, ChiMatrix(beta.dim, h)
+        rngs = [trial_rng(base_seed, ch_idx, mu_idx, t)
+                for t in range(start, min(start + _BLOCK, trials))]
+        tables = _perturb_tables(exact, mu, rngs)
+        _check_probabilities(tables)
+        m = _solve_tables(beta, tables)
+        yield tables, 0.5 * (m + m.conj().swapaxes(-1, -2))
 
 
 def run_sweep(
@@ -248,9 +270,11 @@ def run_sweep(
     Rows are ordered by (mu, channel, trial) and every trial draws from
     its own stream keyed by (base_seed, channel index, mu index, trial
     index), so identical inputs give identical results. The trials of
-    one (mu, channel) point are solved in blocks of 16 as stacked
-    dual-frame products; each row equals the `run_trial` fidelity of its
-    stream, so rows do not depend on the block size.
+    one (mu, channel) point are drawn, range-checked, solved and scored
+    in blocks of 16 as stacked arrays (refinement runs per trial); each
+    row equals the `run_trial` fidelity of its stream, so rows do not
+    depend on the block size. Each finished noise level is logged at
+    INFO with its trials per second.
     """
     channels = list(channels)
     if not channels:
@@ -258,6 +282,7 @@ def run_sweep(
     mus = _noise_grid(mu_grid, base_seed, trials)
     if beta is None:
         beta = build_beta(mub_set)
+    d = beta.dim
     prepared = []
     for ch in channels:
         exact = process_probabilities(ch, mub_set)
@@ -266,18 +291,26 @@ def run_sweep(
     rows = []
     aggregates = []
     for mu_idx, mu in enumerate(mus):
+        start = time.perf_counter()
         for ch_idx, (ch, exact, chi_ref) in enumerate(prepared):
             fids = []
-            for noisy, chi in _trial_estimates(exact, mu, beta, base_seed, ch_idx, mu_idx, trials):
+            blocks = _trial_estimates(exact, mu, beta, base_seed, ch_idx, mu_idx, trials)
+            for tables, chis in blocks:
                 if refine:
-                    chi = refine_physical(chi, noisy, beta, mub_set)
-                fids.append(process_fidelity(chi_ref, chi))
-            rows.extend(SweepRow(mu, ch.name, t, f, refine) for t, f in enumerate(fids))
-            arr = np.asarray(fids)
+                    chis = np.stack([
+                        refine_physical(ChiMatrix(d, h), ProbabilityTensor(d, p), beta,
+                                        mub_set).matrix
+                        for p, h in zip(tables, chis)
+                    ])
+                fids.append(_fidelities(chi_ref.matrix, chis))
+            arr = np.concatenate(fids)
+            rows.extend(SweepRow(mu, ch.name, t, f, refine) for t, f in enumerate(arr.tolist()))
             aggregates.append(
                 SweepAggregate(mu, ch.name, float(arr.mean()), float(arr.std()), trials)
             )
-        logger.info("noise level %g done (%d channels x %d trials)", mu, len(prepared), trials)
+        rate = len(prepared) * trials / (time.perf_counter() - start)
+        logger.info("noise level %g done (%d channels x %d trials, %.0f trials/s)",
+                    mu, len(prepared), trials, rate)
     return SweepResult(tuple(rows), tuple(aggregates))
 
 
@@ -306,8 +339,9 @@ def concurrence_trace(
     points = []
     for mu_idx, mu in enumerate(mus):
         vals = [
-            concurrence(nearest_density_matrix(apply_chi(chi, rho, mub_set)))
-            for _, chi in _trial_estimates(exact, mu, beta, base_seed, 0, mu_idx, trials)
+            concurrence(nearest_density_matrix(apply_chi(ChiMatrix(beta.dim, h), rho, mub_set)))
+            for _, chis in _trial_estimates(exact, mu, beta, base_seed, 0, mu_idx, trials)
+            for h in chis
         ]
         points.append(ConcurrencePoint(mu, float(np.mean(vals))))
     return tuple(points)

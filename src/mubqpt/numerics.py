@@ -3,6 +3,7 @@ norms, distances, and density-matrix utilities used by every other module."""
 from __future__ import annotations
 
 import json
+import math
 from itertools import chain
 
 import numpy as np
@@ -208,13 +209,21 @@ def _reject_constant(name: str):
     raise ValueError(f"{name} is not a JSON number")
 
 
+def _finite_float(text: str) -> float:
+    val = float(text)
+    if not math.isfinite(val):  # called per number: np.isfinite would triple load_chi's time
+        raise ValueError(f"number {text} overflows a double")
+    return val
+
+
 def read_json_object(path, what: str) -> dict:
     """Parse an RFC 8259 JSON file whose top level must be an object;
-    unreadable, undecodable or non-object content, and Python's NaN,
-    Infinity and -Infinity literals, raise ValidationError."""
+    unreadable, undecodable or non-object content, Python's NaN,
+    Infinity and -Infinity literals, and numbers beyond the double range
+    (1e999) raise ValidationError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh, parse_constant=_reject_constant)
+            obj = json.load(fh, parse_constant=_reject_constant, parse_float=_finite_float)
     except (OSError, ValueError) as exc:
         raise ValidationError(f"cannot read {what} file {path}: {exc}") from exc
     if not isinstance(obj, dict):

@@ -94,14 +94,20 @@ class ProbabilityTensor:
             raise ValidationError(
                 f"probability tensor has {v.shape} values, expected ({n * n},)"
             )
-        if not np.all(np.isfinite(v)):
-            raise ValidationError("probability tensor contains NaN or Inf")
-        if v.min() < -1e-10 or v.max() > 1.0 + 1e-10:
-            raise ValidationError(
-                f"probabilities outside [0, 1]: min {v.min():.3e}, max {v.max():.3e}"
-            )
+        _check_probabilities(v)
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
+
+
+def _check_probabilities(v: np.ndarray) -> None:
+    """Reject tables, of any shape, with an entry that is not finite or
+    lies outside [0, 1] by more than 1e-10."""
+    if not np.all(np.isfinite(v)):
+        raise ValidationError("probability tensor contains NaN or Inf")
+    if v.min() < -1e-10 or v.max() > 1.0 + 1e-10:
+        raise ValidationError(
+            f"probabilities outside [0, 1]: min {v.min():.3e}, max {v.max():.3e}"
+        )
 
 
 @dataclass(frozen=True)
@@ -375,6 +381,19 @@ def refine_physical(
                      tp_max_violation=tp, converged=converged)
 
 
+def _fidelities(ref: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """Re Tr(ref X) / Re Tr(ref^2) for each X of a (k, n, n) stack, with
+    one stacked product; a trace whose imaginary part exceeds 1e-8 of
+    its size is logged once per matrix."""
+    denom = complex(np.trace(ref @ ref))
+    if abs(denom) < 1e-14:
+        raise NumericalError("reference process matrix has vanishing norm")
+    vals = np.trace(ref @ stack, axis1=-2, axis2=-1)
+    for val in vals[np.abs(vals.imag) > 1e-8 * np.maximum(1.0, np.abs(vals.real))]:
+        logger.warning("fidelity imaginary residual %.3e", val.imag)
+    return vals.real / denom.real
+
+
 def process_fidelity(chi_ref: ChiMatrix, chi_test: ChiMatrix) -> float:
     """F = Tr(chi_ref chi_test) / Tr(chi_ref^2), real part.
 
@@ -385,13 +404,7 @@ def process_fidelity(chi_ref: ChiMatrix, chi_test: ChiMatrix) -> float:
         raise ValidationError(
             f"dim mismatch: {chi_ref.dim} vs {chi_test.dim}"
         )
-    denom = complex(np.trace(chi_ref.matrix @ chi_ref.matrix))
-    if abs(denom) < 1e-14:
-        raise NumericalError("reference process matrix has vanishing norm")
-    val = complex(np.trace(chi_ref.matrix @ chi_test.matrix))
-    if abs(val.imag) > 1e-8 * max(1.0, abs(val.real)):
-        logger.warning("fidelity imaginary residual %.3e", val.imag)
-    return float(val.real / denom.real)
+    return float(_fidelities(chi_ref.matrix, chi_test.matrix[None])[0])
 
 
 def chi_to_json(chi: ChiMatrix) -> dict:

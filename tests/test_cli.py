@@ -66,8 +66,8 @@ class TestMubCommands:
 
     @pytest.mark.parametrize("flags,config", [
         (["--tol", "nan"], "{}"), (["--tol", "inf"], "{}"),
-        ([], '{"tol": NaN}'), ([], '{"tol": Infinity}'),
-    ], ids=["flag-nan", "flag-inf", "config-nan", "config-infinity"])
+        ([], '{"tol": NaN}'), ([], '{"tol": Infinity}'), ([], '{"tol": 1e999}'),
+    ], ids=["flag-nan", "flag-inf", "config-nan", "config-infinity", "config-overflow"])
     def test_verify_rejects_non_finite_tol(self, capsys, tmp_path, set_d2, flags, config):
         path = tmp_path / "mub.json"
         save_mub(set_d2, path)
@@ -76,6 +76,16 @@ class TestMubCommands:
         code, out, err = run_cli(capsys, "mub", "verify", "--in", str(path),
                                  "--config", str(cfg), *flags)
         assert code == 1 and out == "" and err.startswith("error:")
+
+    def test_verify_rejects_number_beyond_double(self, capsys, tmp_path):
+        # an overflowing component used to read as inf and print a NaN violation
+        path = tmp_path / "mub.json"
+        save_mub(generate_mub(3), path)
+        blob = json.loads(path.read_text())
+        blob["bases"][1][2][0] = [0.25, 0.0]
+        path.write_text(json.dumps(blob).replace("[0.25, 0.0]", "[1e999, 0.0]"))
+        code, out, err = run_cli(capsys, "mub", "verify", "--in", str(path))
+        assert code == 1 and out == "" and err.startswith("error:") and "1e999" in err
 
     def test_complexity_defaults(self, capsys):
         code, out, _ = run_cli(capsys, "mub", "complexity", "--dim", "4")

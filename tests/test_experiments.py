@@ -1,11 +1,14 @@
 import json
+import logging
 import time
 
 import numpy as np
 import pytest
 
 from mubqpt import (
+    ChiMatrix,
     NoiseConfig,
+    ProbabilityTensor,
     ValidationError,
     apply_chi,
     concurrence,
@@ -18,17 +21,31 @@ from mubqpt import (
     nearest_density_matrix,
     parse_channel_spec,
     perturb_probabilities,
+    process_fidelity,
     process_probabilities,
     run_sweep,
     run_trial,
     solve_chi,
     trial_rng,
 )
+from mubqpt import experiments
+from mubqpt.experiments import _perturb_tables
+from mubqpt.tomography import _check_probabilities, _fidelities
+from test_tomography import random_stinespring_channel
 
 PLUS0 = np.kron([1, 1], [1, 0]) / np.sqrt(2)
 RHO_PLUS0 = np.outer(PLUS0, PLUS0)
 _b = np.array([1, 0, 0, 1]) / np.sqrt(2)
 RHO_BELL = np.outer(_b, _b).astype(complex)
+
+
+def sweep_channels(dim, specs):
+    """Channels from comma-separated specs; "rank:r" is a Stinespring
+    channel of Kraus rank r seeded by dim, since parse_channel_spec
+    builds channels at D = 2 and 4 only."""
+    rng = np.random.default_rng(dim)
+    return [random_stinespring_channel(dim, int(s[5:]), rng) if s.startswith("rank:")
+            else parse_channel_spec(s, dim) for s in specs.split(",")]
 
 
 class TestNoiseConfig:
@@ -91,6 +108,75 @@ class TestPerturbation:
         p = process_probabilities(parse_channel_spec("dep:0.3", 2), set_d2)
         with pytest.raises(ValidationError):
             perturb_probabilities(p, -0.1, trial_rng(0, 0, 0, 0))
+
+
+class TestBlockKernels:
+    """The block kernels that run_sweep uses, against the per-trial
+    public functions that are their k = 1 case."""
+
+    @pytest.fixture()
+    def exact(self, set_d4):
+        return process_probabilities(make_cnot(), set_d4)
+
+    @pytest.mark.parametrize("mu", [0.05, 0.3])
+    def test_perturb_rows_equal_per_trial(self, exact, mu):
+        trials = [0, 1, 5, 16, 17]
+        block = _perturb_tables(exact, mu, [trial_rng(2, 1, 3, t) for t in trials])
+        assert block.shape == (len(trials), exact.values.size)
+        for row, t in zip(block, trials):
+            one = perturb_probabilities(exact, mu, trial_rng(2, 1, 3, t))
+            assert np.array_equal(row, one.values)
+
+    def test_zero_mu_copies_exact_and_draws_nothing(self, exact):
+        rngs = [trial_rng(2, 0, 0, t) for t in range(3)]
+        block = _perturb_tables(exact, 0.0, rngs)
+        assert not np.shares_memory(block, exact.values)
+        for row, rng, t in zip(block, rngs, range(3)):
+            assert np.array_equal(row, exact.values)
+            assert rng.random() == trial_rng(2, 0, 0, t).random()
+
+    def test_nan_mu_message_unchanged(self, exact):
+        with pytest.raises(ValidationError, match=r"^probability tensor contains NaN or Inf$"):
+            perturb_probabilities(exact, float("nan"), trial_rng(0, 0, 0, 0))
+
+    @pytest.mark.parametrize("table,message", [
+        (np.full((3, 400), 0.5), None), (np.full((3, 400), np.nan), "contains NaN or Inf"),
+        (np.full((3, 400), 1.01), "outside \\[0, 1\\]: min 1.010e\\+00, max 1.010e\\+00"),
+    ])
+    def test_block_check_is_the_tensor_check(self, table, message):
+        # the check run_sweep applies to each block is ProbabilityTensor's
+        checks = [lambda: _check_probabilities(table),
+                  lambda: [ProbabilityTensor(4, row) for row in table]]
+        for check in checks:
+            if message is None:
+                check()
+            else:
+                with pytest.raises(ValidationError, match=message):
+                    check()
+
+    def test_fidelities_equal_process_fidelity(self, exact, beta_d4):
+        chi_ref = solve_chi(beta_d4, exact)
+        chis = [solve_chi(beta_d4, perturb_probabilities(exact, 0.1, trial_rng(5, 0, 0, t)))
+                for t in range(17)]
+        fids = _fidelities(chi_ref.matrix, np.stack([c.matrix for c in chis]))
+        assert fids.shape == (17,)
+        for f, chi in zip(fids, chis):
+            assert f == process_fidelity(chi_ref, chi)
+
+    def test_imaginary_residual_logged_per_matrix(self, exact, beta_d4, caplog):
+        ref = solve_chi(beta_d4, exact).matrix
+        # Tr(ref X) is imaginary for anti-Hermitian X and real for Hermitian X
+        herm = [ref, np.diag(np.arange(20.0)), ref @ ref]
+        stack = np.stack([1j * herm[1], herm[0], 1j * herm[2]])
+        with caplog.at_level(logging.WARNING, logger="mubqpt.tomography"):
+            _fidelities(ref, stack)
+        warned = [r.getMessage() for r in caplog.records]
+        assert len(warned) == 2
+        assert all(m.startswith("fidelity imaginary residual ") for m in warned)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="mubqpt.tomography"):
+            process_fidelity(ChiMatrix(4, ref), ChiMatrix(4, stack[0]))
+        assert [r.getMessage() for r in caplog.records] == warned[:1]
 
 
 class TestTrials:
@@ -166,16 +252,30 @@ class TestSweep:
 
     @pytest.mark.parametrize("refine", [False, True])
     @pytest.mark.parametrize("trials", [1, 16, 17, 40])
-    @pytest.mark.parametrize("dim,specs", [(2, "dep:0.2,ad:0.4"), (4, "ad:0.4,cnot")])
-    def test_rows_equal_per_trial_reference(self, request, dim, specs, trials, refine):
-        # the blocked solve must give each trial's run_trial fidelity bit for
-        # bit, across block boundaries (16 trials) and at mu = 0
+    @pytest.mark.parametrize("dim,specs", [
+        (2, "dep:0.2,ad:0.4"), (4, "ad:0.4,cnot"),
+        (3, "rank:1,rank:3,rank:9"), (5, "rank:1,rank:5,rank:25"),
+    ])
+    def test_rows_equal_per_trial_reference(self, request, monkeypatch, dim, specs, trials,
+                                            refine):
+        # the blocked draw, check, solve and score must give each trial's
+        # run_trial fidelity bit for bit, at any block size, across block
+        # boundaries and at mu = 0
         mub_set = request.getfixturevalue(f"set_d{dim}")
         beta = request.getfixturevalue(f"beta_d{dim}")
-        chans = [parse_channel_spec(s, dim) for s in specs.split(",")]
+        chans = sweep_channels(dim, specs)
         grid = [0.0, 0.05]
-        res = run_sweep(chans, mub_set, mu_grid=grid, trials=trials, base_seed=3,
-                        refine=refine, beta=beta)
+        # refine each distinct (estimate, table) input once across the four
+        # passes below; an input whose bits differ misses the memo
+        memo, refine_physical = {}, experiments.refine_physical
+
+        def refine_once(chi, p, *args):
+            key = (chi.matrix.tobytes(), p.values.tobytes())
+            if key not in memo:
+                memo[key] = refine_physical(chi, p, *args)
+            return memo[key]
+
+        monkeypatch.setattr(experiments, "refine_physical", refine_once)
         expected = []
         for mi, mu in enumerate(grid):
             for ci, ch in enumerate(chans):
@@ -186,8 +286,23 @@ class TestSweep:
                               exact=exact, chi_ref=chi_ref).fidelity
                     for t in range(trials)
                 ]
-        assert [r.fidelity for r in res.rows] == expected
-        assert all(r.refined == refine for r in res.rows)
+        for block in (1, 16, 100):
+            monkeypatch.setattr(experiments, "_BLOCK", block)
+            res = run_sweep(chans, mub_set, mu_grid=grid, trials=trials, base_seed=3,
+                            refine=refine, beta=beta)
+            assert [r.fidelity for r in res.rows] == expected
+            assert all(type(r.fidelity) is float and r.refined == refine for r in res.rows)
+
+    def test_logs_trials_per_second_per_level(self, set_d2, beta_d2, caplog):
+        with caplog.at_level(logging.INFO, logger="mubqpt.experiments"):
+            run_sweep([parse_channel_spec("dep:0.2", 2)], set_d2, mu_grid=[0.02, 0.05],
+                      trials=3, beta=beta_d2)
+        lines = [r.getMessage() for r in caplog.records]
+        assert len(lines) == 2
+        for mu, line in zip(("0.02", "0.05"), lines):
+            assert line.startswith(f"noise level {mu} done (1 channels x 3 trials, ")
+            assert line.endswith(" trials/s)")
+            assert float(line.split(", ")[1].split()[0]) > 0
 
     def test_rejects_empty_inputs(self, set_d2, beta_d2):
         with pytest.raises(ValidationError):
@@ -220,19 +335,22 @@ class TestConcurrenceTrace:
             assert 0.0 <= pt.mean_concurrence <= 1.0
 
     @pytest.mark.parametrize("trials", [16, 17, 40])
-    def test_matches_per_trial_reference(self, set_d4, beta_d4, trials):
+    def test_matches_per_trial_reference(self, set_d4, beta_d4, monkeypatch, trials):
         ch = parse_channel_spec("ad:0.4", 4)
         grid = [0.0, 0.05]
-        pts = concurrence_trace(RHO_BELL, ch, set_d4, mu_grid=grid, trials=trials,
-                                base_seed=4, beta=beta_d4)
         exact = process_probabilities(ch, set_d4)
-        for mi, (mu, pt) in enumerate(zip(grid, pts)):
+        expected = []
+        for mi, mu in enumerate(grid):
             vals = []
             for t in range(trials):
                 chi = solve_chi(beta_d4, perturb_probabilities(exact, mu, trial_rng(4, 0, mi, t)))
                 vals.append(concurrence(nearest_density_matrix(apply_chi(chi, RHO_BELL, set_d4))))
-            assert pt.mu == mu
-            assert pt.mean_concurrence == float(np.mean(vals))
+            expected.append((mu, float(np.mean(vals))))
+        for block in (1, 16, 100):
+            monkeypatch.setattr(experiments, "_BLOCK", block)
+            pts = concurrence_trace(RHO_BELL, ch, set_d4, mu_grid=grid, trials=trials,
+                                    base_seed=4, beta=beta_d4)
+            assert [(pt.mu, pt.mean_concurrence) for pt in pts] == expected
 
     @pytest.mark.parametrize("mu_grid,trials", [([2.0], 1), ([0.05], 0)])
     def test_rejects_out_of_range_noise(self, set_d4, beta_d4, mu_grid, trials):
@@ -283,6 +401,15 @@ class TestExport:
     def test_rejects_unknown_format(self, small_result, tmp_path):
         with pytest.raises(ValidationError):
             export_results(small_result, "xml", tmp_path / "res.xml")
+
+    def test_import_rejects_number_beyond_double(self, small_result, tmp_path):
+        path = tmp_path / "res.json"
+        export_results(small_result, "json", path)
+        doc = json.loads(path.read_text())
+        doc["rows"][0]["fidelity"] = 0.25
+        path.write_text(json.dumps(doc).replace('"fidelity": 0.25', '"fidelity": 1e999'))
+        with pytest.raises(ValidationError, match="1e999"):
+            import_results(path)
 
     def test_import_rejects_malformed(self, small_result, tmp_path):
         path = tmp_path / "bad.json"

@@ -100,8 +100,9 @@ def test_valid_file_loads(loader, tmp_path):
     assert loader(path).dim == 2
 
 
-# Python's json literals that RFC 8259 does not allow
-CONSTANTS = [b"NaN", b"Infinity", b"-Infinity"]
+# Python's json literals that RFC 8259 does not allow, and numbers that
+# RFC 8259 allows but a double cannot hold
+CONSTANTS = [b"NaN", b"Infinity", b"-Infinity", b"1e999", b"-1e999"]
 
 
 @pytest.mark.parametrize("loader", FUZZED, ids=lambda f: f.__name__)
@@ -112,15 +113,27 @@ CONSTANTS = [b"NaN", b"Infinity", b"-Infinity"]
     json.dumps({**VALID, "dim": True}).encode(),
     *CONSTANTS,
 ], ids=["overflow", "not-utf8", "dim-fraction", "dim-float", "dim-bool",
-        "nan", "infinity", "-infinity"])
+        "nan", "infinity", "-infinity", "float-overflow", "-float-overflow"])
 def test_loader_rejects_overflow_and_bad_encoding(loader, raw, tmp_path):
     if raw in CONSTANTS:
         # a file the loader accepts, but for the constant in a key it never reads
         valid = {"rows": [], "aggregates": []} if loader is import_results else VALID
-        raw = json.dumps({**valid, "note": float(raw)}).encode()
+        raw = json.dumps({**valid, "note": None}).encode().replace(b'"note": null',
+                                                                   b'"note": ' + raw)
     path = tmp_path / "input.json"
     path.write_bytes(raw)
     with pytest.raises(ValidationError):
+        loader(path)
+
+
+@pytest.mark.parametrize("loader,key,entry", [
+    (load_chi, "data", [0.25, 0.0]), (load_probabilities, "values", 0.25),
+], ids=["load_chi", "load_probabilities"])
+def test_loader_rejects_entry_beyond_double(loader, key, entry, tmp_path):
+    # the first entry the loader reads is 1e999 in the file's text
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({**VALID, key: [entry] + VALID[key][1:]}).replace("0.25", "1e999"))
+    with pytest.raises(ValidationError, match="1e999 overflows a double"):
         loader(path)
 
 
