@@ -266,11 +266,13 @@ class TestSweep:
         chans = sweep_channels(dim, specs)
         grid = [0.0, 0.05]
         # refine each distinct (estimate, table) input once across the four
-        # passes below; an input whose bits differ misses the memo
+        # passes below; an input whose bits differ misses the memo, and every
+        # call must pass this run's own beta and MUB set in order
         memo, refine_physical = {}, experiments.refine_physical
 
         def refine_once(chi, p, *args):
-            key = (chi.matrix.tobytes(), p.values.tobytes())
+            assert len(args) == 2 and args[0] is beta and args[1] is mub_set
+            key = (chi.dim, p.dim, chi.matrix.tobytes(), p.values.tobytes())
             if key not in memo:
                 memo[key] = refine_physical(chi, p, *args)
             return memo[key]
@@ -401,15 +403,6 @@ class TestExport:
     def test_rejects_unknown_format(self, small_result, tmp_path):
         with pytest.raises(ValidationError):
             export_results(small_result, "xml", tmp_path / "res.xml")
-
-    def test_import_rejects_number_beyond_double(self, small_result, tmp_path):
-        path = tmp_path / "res.json"
-        export_results(small_result, "json", path)
-        doc = json.loads(path.read_text())
-        doc["rows"][0]["fidelity"] = 0.25
-        path.write_text(json.dumps(doc).replace('"fidelity": 0.25', '"fidelity": 1e999'))
-        with pytest.raises(ValidationError, match="1e999"):
-            import_results(path)
 
     def test_import_rejects_malformed(self, small_result, tmp_path):
         path = tmp_path / "bad.json"

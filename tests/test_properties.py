@@ -122,18 +122,7 @@ def test_loader_rejects_overflow_and_bad_encoding(loader, raw, tmp_path):
                                                                    b'"note": ' + raw)
     path = tmp_path / "input.json"
     path.write_bytes(raw)
-    with pytest.raises(ValidationError):
-        loader(path)
-
-
-@pytest.mark.parametrize("loader,key,entry", [
-    (load_chi, "data", [0.25, 0.0]), (load_probabilities, "values", 0.25),
-], ids=["load_chi", "load_probabilities"])
-def test_loader_rejects_entry_beyond_double(loader, key, entry, tmp_path):
-    # the first entry the loader reads is 1e999 in the file's text
-    path = tmp_path / "input.json"
-    path.write_text(json.dumps({**VALID, key: [entry] + VALID[key][1:]}).replace("0.25", "1e999"))
-    with pytest.raises(ValidationError, match="1e999 overflows a double"):
+    with pytest.raises(ValidationError, match="overflows a double" if b"e999" in raw else None):
         loader(path)
 
 
