@@ -52,6 +52,7 @@ CHANNEL_ALIASES = {
 _SHORT_NAMES = {v: k for k, v in CHANNEL_ALIASES.items()}
 
 _CHECK_TOL = 1e-10  # channel_checks' bound on each residual norm
+_COMPLETE_TOL = 1e-10  # load_kraus's bound on the largest eigenvalue of sum A^dag A - I
 
 
 @dataclass(frozen=True)
@@ -86,17 +87,6 @@ class ChannelChecks:
     unital: bool
     trace_residual: float
     unital_residual: float
-
-
-def _require_complete(ops, dim: int, what: str, tol: float = 1e-10) -> None:
-    # completeness sum A^dag A <= I: largest eigenvalue of the excess must
-    # not exceed tol
-    s = sum(a.conj().T @ a for a in ops)
-    excess = float(np.linalg.eigvalsh(s - np.eye(dim))[-1])
-    if excess > tol:
-        raise ValidationError(
-            f"{what}: sum A^dag A exceeds the identity by {excess:.3e}"
-        )
 
 
 def make_local_channel(kind: str, param: float) -> KrausChannel:
@@ -137,9 +127,7 @@ def make_local_channel(kind: str, param: float) -> KrausChannel:
         weighted = [(np.sqrt(1.0 - p), eye), (np.sqrt(p), SIGMA_Y)]
         params = {"p": p}
     ops = tuple(c * m for c, m in weighted if c > 0)
-    ch = KrausChannel(2, ops, kind, params)
-    _require_complete(ch.operators, 2, f"{kind}({p})", tol=1e-12)
-    return ch
+    return KrausChannel(2, ops, kind, params)
 
 
 def tensor_lift(a: KrausChannel, b: KrausChannel) -> KrausChannel:
@@ -261,5 +249,8 @@ def load_kraus(path, strict: bool = True) -> KrausChannel:
         raise ValidationError(f"malformed Kraus file {path}: {exc}") from exc
     ch = KrausChannel(dim, ops, name, {})
     if strict:
-        _require_complete(ch.operators, dim, f"Kraus file {path}")
+        excess = np.linalg.eigvalsh(sum(a.conj().T @ a for a in ch.operators) - np.eye(dim))[-1]
+        if excess > _COMPLETE_TOL:
+            raise ValidationError(
+                f"Kraus file {path}: sum A^dag A exceeds the identity by {excess:.3e}")
     return ch

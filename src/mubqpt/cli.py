@@ -17,13 +17,7 @@ import sys
 
 from .channels import apply_channel, channel_checks, load_kraus, parse_channel_spec
 from .errors import NumericalError, ValidationError
-from .experiments import (
-    NoiseConfig,
-    default_mu_grid,
-    export_results,
-    run_sweep,
-    run_trial,
-)
+from .experiments import default_mu_grid, export_results, run_sweep, run_trial
 from .mub import (
     ComplexityModel,
     complexity_totals,
@@ -181,12 +175,11 @@ def cmd_channel_check(args) -> None:
 def cmd_qpt_run(args) -> None:
     dim = _require(args, "dim")
     ch = parse_channel_spec(_channel_spec(args), dim)
-    noise = NoiseConfig(args.mu, args.seed)  # range checks
     mub_set = generate_mub(dim)
     beta = build_beta(mub_set)
-    res = run_trial(ch, mub_set, beta, noise.mu, noise.seed, args.refine)
+    res = run_trial(ch, mub_set, beta, args.mu, args.seed, args.refine)
     print(
-        f"dim={dim} channel={ch.name} mu={noise.mu:g} rank={beta.rank} "
+        f"dim={dim} channel={ch.name} mu={args.mu:g} rank={beta.rank} "
         f"asymmetry={res.chi.asymmetry:.3e} residual={res.chi.forward_residual:.3e} "
         f"fidelity={res.fidelity:.10f}",
         file=sys.stderr,

@@ -71,6 +71,19 @@ logger = logging.getLogger(__name__)
 _MAX_GRID_POINTS = 10_000
 
 
+# NoiseConfig's rule, one predicate per noise parameter
+def _check_mu(mu: float) -> None:
+    if not 0.0 <= mu <= 1.0:  # NaN fails too
+        raise ValidationError(f"error amplitude {mu} outside [0, 1]")
+
+
+def _check_seed(seed: int) -> int:
+    # a seed sequence takes non-negative integer entropy only
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValidationError(f"seed must be an integer >= 0, got {seed!r}")
+    return seed
+
+
 @dataclass(frozen=True)
 class NoiseConfig:
     """Error amplitude, base seed, and trial count for one noise point."""
@@ -80,12 +93,10 @@ class NoiseConfig:
     trials: int = 100
 
     def __post_init__(self):
-        if not 0.0 <= self.mu <= 1.0:
-            raise ValidationError(f"error amplitude {self.mu} outside [0, 1]")
+        _check_mu(self.mu)
         if self.trials < 1:
             raise ValidationError(f"trials must be >= 1, got {self.trials}")
-        if self.seed < 0:  # a seed sequence takes non-negative entropy only
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -140,14 +151,12 @@ def _perturb_tables(exact: ProbabilityTensor, mu: float, rngs) -> np.ndarray:
     """The noisy tables of k trials as a (k, n^2) array: row i is
     `exact` + mu * zeta_i with zeta_i drawn from rngs[i], renormalized
     to unit sum within each (input, outcome-basis) group of D entries.
-    The caller range-checks the block: ProbabilityTensor for one table,
-    _check_probabilities for a block.
+    The caller has checked mu and range-checks the block:
+    ProbabilityTensor for one table, _check_probabilities for a block.
 
     mu = 0 returns copies of the exact table and draws nothing (a
     renormalization pass could disturb the last bits).
     """
-    if mu < 0:
-        raise ValidationError(f"error amplitude must be >= 0, got {mu}")
     if mu == 0.0:
         return np.tile(exact.values, (len(rngs), 1))
     z = np.empty((len(rngs), exact.values.size))
@@ -163,11 +172,12 @@ def perturb_probabilities(
     p: ProbabilityTensor, mu: float, rng: np.random.Generator
 ) -> ProbabilityTensor:
     """p_tilde = p + mu * zeta, renormalized to unit sum within each
-    (input, outcome-basis) group of D entries.
+    (input, outcome-basis) group of D entries; mu must lie in [0, 1].
 
     mu = 0 returns the input values unchanged (no renormalization pass,
     which could disturb the last bits).
     """
+    _check_mu(mu)
     return ProbabilityTensor(p.dim, _perturb_tables(p, mu, [rng])[0])
 
 
@@ -184,10 +194,11 @@ def run_trial(
     """One reconstruction under noise: perturb the exact tensor, solve,
     optionally refine, and score against the exact process matrix.
 
-    `seed` may be an integer or a ready Generator. The exact tensor and
-    reference solution are recomputed when not supplied.
+    mu must lie in [0, 1] (perturb_probabilities checks it); `seed` is
+    an integer >= 0 or a ready Generator. The exact tensor and reference
+    solution are recomputed when not supplied.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else trial_rng(int(seed), 0, 0, 0)
+    rng = seed if isinstance(seed, np.random.Generator) else trial_rng(_check_seed(seed), 0, 0, 0)
     if exact is None:
         exact = process_probabilities(ch, mub_set)
     if chi_ref is None:

@@ -12,6 +12,7 @@ common eigenbases of the rows form the MUB set.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -19,8 +20,8 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .numerics import (
+    _require_hermitian,
     as_complex_matrix,
-    hermiticity_defect,
     json_numbers,
     json_value,
     read_json_object,
@@ -264,8 +265,7 @@ def common_eigenbasis(ops) -> list[np.ndarray]:
     for m in mats:
         if m.shape != (dim, dim):
             raise ValidationError(f"operator shapes differ: {m.shape} vs {(dim, dim)}")
-        if hermiticity_defect(m) > 1e-8:
-            raise ValidationError("operators must be Hermitian")
+        _require_hermitian(m, "operator")
     worst = 0.0
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
@@ -340,18 +340,21 @@ def default_factorization(dim: int) -> tuple[int, ...]:
     return (dim,)
 
 
+def _check_factorization(factorization, dim: int) -> tuple[int, ...]:
+    """The factors as ints, if each is >= 1 and their exact product is dim."""
+    dims = tuple(int(x) for x in factorization)
+    if any(x < 1 for x in dims) or math.prod(dims) != dim:
+        raise ValidationError(f"factorization {dims} does not multiply to {dim} with factors >= 1")
+    return dims
+
+
 def factorizability(basis, factorization) -> bool:
     """True iff every vector is a product state across every cut of the
     factorization (largest Schmidt coefficient 1 within 1e-10)."""
-    dims = tuple(int(x) for x in factorization)
     vecs = [np.asarray(v, dtype=complex).ravel() for v in basis]
     if not vecs:
         raise ValidationError("empty basis")
-    length = vecs[0].size
-    if any(x < 1 for x in dims) or int(np.prod(dims)) != length:
-        raise ValidationError(
-            f"factorization {dims} does not multiply to the vector length {length}"
-        )
+    dims = _check_factorization(factorization, vecs[0].size)
     for v in vecs:
         norm = np.linalg.norm(v)
         if norm == 0.0:
@@ -380,6 +383,7 @@ def default_complexity(mub_set: MubSet, factorization=None) -> ComplexityModel:
 
 def complexity_totals(model: ComplexityModel, dim: int) -> dict:
     """Total cost C = sum C_alpha and the protocol gate count D*C^2."""
+    _check_factorization(model.factorization, dim)
     if len(model.c_alpha) != dim + 1:
         raise ValidationError(
             f"expected {dim + 1} per-basis costs, got {len(model.c_alpha)}"

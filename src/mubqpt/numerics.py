@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 
-# hermitian_eig's bound on |M - M^dag|; svd_pseudoinverse's relative rank cutoff
+# _require_hermitian's bound on |M - M^dag|; svd_pseudoinverse's relative rank cutoff
 _HERMITIAN_TOL, _RANK_TOL = 1e-8, 1e-10
 
 __all__ = [
@@ -47,6 +47,15 @@ def hermiticity_defect(m: np.ndarray) -> float:
     return float(np.abs(m - m.conj().T).max())
 
 
+def _require_hermitian(m: np.ndarray, what: str) -> None:
+    """Reject m, named `what`, if its largest |M - M^dag| entry is NaN or above 1e-8."""
+    defect = hermiticity_defect(m)
+    if not defect <= _HERMITIAN_TOL:
+        raise ValidationError(
+            f"{what} is not Hermitian: max |M - M^dag| entry = {defect:.3e} > {_HERMITIAN_TOL:.1e}"
+        )
+
+
 def frobenius_norm(m) -> float:
     """sqrt(sum of |entry|^2)."""
     return float(np.linalg.norm(np.asarray(m, dtype=complex)))
@@ -63,11 +72,7 @@ def hermitian_eig(m) -> tuple[np.ndarray, np.ndarray]:
     a = as_complex_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise ValidationError(f"matrix is not square: shape {a.shape}")
-    defect = hermiticity_defect(a)
-    if defect > _HERMITIAN_TOL:
-        raise ValidationError(
-            f"matrix is not Hermitian: max |M - M^dag| entry = {defect:.3e} > {_HERMITIAN_TOL:.1e}"
-        )
+    _require_hermitian(a, "matrix")
     return np.linalg.eigh(a)
 
 
@@ -116,8 +121,7 @@ def trace_distance(a, b) -> float:
     if x.shape != y.shape or x.shape[0] != x.shape[1]:
         raise ValidationError(f"dimension mismatch: {x.shape} vs {y.shape}")
     d = x - y
-    if hermiticity_defect(d) > 1e-8:
-        raise ValidationError("difference of the two states is not Hermitian")
+    _require_hermitian(d, "difference of the two states")
     return float(0.5 * np.abs(np.linalg.eigvalsh(d)).sum())
 
 

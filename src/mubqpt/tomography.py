@@ -25,7 +25,7 @@ positive, trace-preserving map in the Frobenius norm of J.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -33,10 +33,9 @@ from .channels import KrausChannel, apply_channel
 from .errors import NumericalError, ValidationError
 from .mub import MubSet, n_projectors
 from .numerics import (
+    _require_hermitian,
     as_complex_matrix,
     frobenius_norm,
-    hermitian_eig,
-    hermiticity_defect,
     json_numbers,
     json_value,
     matrix_from_json,
@@ -155,7 +154,8 @@ class BetaMatrix:
 @dataclass(frozen=True)
 class ChiMatrix:
     """Process matrix over composite projector indices, Hermitian by
-    construction; `physical` marks positive semidefinite estimates."""
+    construction: it rejects a largest |M - M^dag| entry above 1e-8 and
+    stores (M + M^dag)/2. `physical` marks positive semidefinite estimates."""
 
     dim: int
     matrix: np.ndarray
@@ -172,6 +172,8 @@ class ChiMatrix:
         n = n_projectors(self.dim)
         if m.shape != (n, n):
             raise ValidationError(f"chi has shape {m.shape}, expected {(n, n)}")
+        _require_hermitian(m, "process matrix")
+        m = 0.5 * (m + m.conj().T)
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
@@ -284,7 +286,7 @@ def extract_kraus(chi: ChiMatrix, mub_set: MubSet) -> KrausChannel:
     d = mub_set.dim
     if chi.dim != d:
         raise ValidationError(f"dim mismatch: chi {chi.dim}, basis {d}")
-    lam, u = hermitian_eig(_choi(mub_set.frame, chi.matrix))
+    lam, u = np.linalg.eigh(_choi(mub_set.frame, chi.matrix))  # Hermitian, as chi is
     if lam[0] < -_KRAUS_FLOOR:
         raise NumericalError(
             f"Choi matrix has eigenvalue {lam[0]:.3e} < -{_KRAUS_FLOOR:.1e}; "
@@ -342,19 +344,17 @@ def refine_physical(
     chi = W+ J W+^dag, the result is positive semidefinite and the
     minimum-norm process matrix of that map, as `solve_chi` gives. The
     worst |Tr E(P_b) - 1| and the residual |beta chi - p| against the
-    measured table p are recorded. W and W+ come from beta.
+    measured table p are recorded, chi_raw's asymmetry is kept. W and W+
+    come from beta.
     """
     d = mub_set.dim
-    target = as_complex_matrix(chi_raw.matrix)
     if chi_raw.dim != d:
         raise ValidationError(f"dim mismatch: chi {chi_raw.dim}, basis {d}")
-    if hermiticity_defect(target) > 1e-8:
-        raise ValidationError("raw process matrix must be Hermitian")
     if beta.dim != d:
         raise ValidationError(f"dim mismatch: beta {beta.dim}, basis {d}")
     w, dual = beta.frame, beta.dual
 
-    x = _choi(w, 0.5 * (target + target.conj().T))
+    x = _choi(w, chi_raw.matrix)
     tol = 1e-12 * frobenius_norm(x)
     eye = np.eye(d)
     q = np.zeros_like(x)  # Dykstra correction of the cone; the affine one vanishes
@@ -372,26 +372,22 @@ def refine_physical(
     else:
         logger.warning("refinement stopped at the %d-round cap", _MAX_ROUNDS)
 
-    chi = dual.conj().T @ x @ dual
-    chi = 0.5 * (chi + chi.conj().T)
-    table = _forward(w, chi, d)  # row b sums Tr(P_s E(P_b)) over each basis
+    chi = ChiMatrix(d, dual.conj().T @ x @ dual, physical=True, asymmetry=chi_raw.asymmetry,
+                    converged=converged)
+    table = _forward(w, chi.matrix, d)  # row b sums Tr(P_s E(P_b)) over each basis
     resid = float(np.linalg.norm(table.ravel() - p.values))
     tp = float(np.abs(table[:, :d].sum(axis=1) - 1.0).max())
-    return ChiMatrix(d, chi, physical=True, forward_residual=resid,
-                     tp_max_violation=tp, converged=converged)
+    return replace(chi, forward_residual=resid, tp_max_violation=tp)
 
 
 def _fidelities(ref: np.ndarray, stack: np.ndarray) -> np.ndarray:
     """Re Tr(ref X) / Re Tr(ref^2) for each X of a (k, n, n) stack, with
-    one stacked product; a trace whose imaginary part exceeds 1e-8 of
-    its size is logged once per matrix."""
+    one stacked product. The traces are real up to rounding, since ref
+    and every X are Hermitian."""
     denom = complex(np.trace(ref @ ref))
     if abs(denom) < 1e-14:
         raise NumericalError("reference process matrix has vanishing norm")
-    vals = np.trace(ref @ stack, axis1=-2, axis2=-1)
-    for val in vals[np.abs(vals.imag) > 1e-8 * np.maximum(1.0, np.abs(vals.real))]:
-        logger.warning("fidelity imaginary residual %.3e", val.imag)
-    return vals.real / denom.real
+    return np.trace(ref @ stack, axis1=-2, axis2=-1).real / denom.real
 
 
 def process_fidelity(chi_ref: ChiMatrix, chi_test: ChiMatrix) -> float:
@@ -421,6 +417,7 @@ def save_chi(chi: ChiMatrix, path) -> None:
 
 
 def load_chi(path) -> ChiMatrix:
+    """Read a process-matrix file; ChiMatrix checks and symmetrizes it."""
     obj = read_json_object(path, "process-matrix")
     if obj.get("index_order") != "gamma-major":
         raise ValidationError(f"process-matrix file {path} lacks index_order 'gamma-major'")
@@ -429,10 +426,7 @@ def load_chi(path) -> ChiMatrix:
     except KeyError as exc:
         raise ValidationError(f"malformed process-matrix file {path}: {exc}") from exc
     physical = json_value(obj, "physical", bool) if "physical" in obj else False
-    m = matrix_from_json(obj)
-    if hermiticity_defect(m) > 1e-8:
-        raise ValidationError(f"process matrix in {path} is not Hermitian")
-    return ChiMatrix(dim, 0.5 * (m + m.conj().T), physical=physical)
+    return ChiMatrix(dim, matrix_from_json(obj), physical=physical)
 
 
 def save_probabilities(p: ProbabilityTensor, path) -> None:

@@ -112,6 +112,16 @@ class TestMubCommands:
         code, out, err = run_cli(capsys, "mub", "complexity", "--config", str(cfg))
         assert code == 1 and out == "" and err.startswith("error:") and "c_alpha" in err
 
+    @pytest.mark.parametrize("flags", [
+        # the product wraps to 4 in int64
+        ["--factorization", "4611686018427387905,4"],
+        ["--c-alpha", "0,0,0,1,1", "--factorization", "0,-7"],
+        ["--c-alpha", "0,0,0,1,1", "--factorization", "3,3"],
+    ], ids=["int64-wrap", "c-alpha-non-positive", "c-alpha-wrong-product"])
+    def test_complexity_rejects_bad_factorization(self, capsys, flags):
+        code, out, err = run_cli(capsys, "mub", "complexity", "--dim", "4", *flags)
+        assert code == 1 and out == "" and err.startswith("error:") and "factorization" in err
+
 
 class TestChannelCommands:
     def test_apply_cnot(self, capsys, tmp_path):
@@ -192,6 +202,16 @@ class TestQptRun:
         ref = run_trial(parse_channel_spec("ad:0.4", 2), mub_set, build_beta(mub_set), 0.1, 7,
                         refine)
         assert np.array_equal(matrix_from_json(json.loads(path.read_text())), ref.chi.matrix)
+
+    def test_refined_run_reports_raw_asymmetry(self, capsys, tmp_path):
+        argv = ["qpt", "run", "--dim", "2", "--channel", "bpf:0.3", "--mu", "0.05",
+                "--seed", "3", "--out", str(tmp_path / "chi.json")]
+        fields = []
+        for extra in ([], ["--refine"]):
+            code, _, err = run_cli(capsys, *argv, *extra)
+            assert code == 0
+            fields.append(next(f for f in err.split() if f.startswith("asymmetry=")))
+        assert fields[0] == fields[1] != "asymmetry=0.000e+00"
 
     @pytest.mark.parametrize("mu", ["2", "-0.5"])
     def test_rejects_mu_out_of_range(self, capsys, mu):

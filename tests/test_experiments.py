@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from mubqpt import (
-    ChiMatrix,
     NoiseConfig,
     ProbabilityTensor,
     ValidationError,
@@ -31,6 +30,7 @@ from mubqpt import (
 from mubqpt import experiments
 from mubqpt.experiments import _perturb_tables
 from mubqpt.tomography import _check_probabilities, _fidelities
+from test_cli import run_cli
 from test_tomography import random_stinespring_channel
 
 PLUS0 = np.kron([1, 1], [1, 0]) / np.sqrt(2)
@@ -62,6 +62,59 @@ class TestNoiseConfig:
             NoiseConfig(0.1, 0, 0)
         with pytest.raises(ValidationError, match="seed"):
             NoiseConfig(0.1, -1, 10)
+
+
+def _rule_entry_points(set_d4, beta_d4, capsys, tmp_path):
+    """Each entry point that takes an error amplitude, as a call of mu;
+    the CLI commands return run_cli's (code, out, err)."""
+    cnot = make_cnot()
+    exact = process_probabilities(cnot, set_d4)
+    return {
+        "perturb_probabilities": lambda mu: perturb_probabilities(exact, mu, trial_rng(0, 0, 0, 0)),
+        "run_trial": lambda mu: run_trial(cnot, set_d4, beta_d4, mu, 0, exact=exact),
+        "run_sweep": lambda mu: run_sweep([cnot], set_d4, [mu], trials=1, beta=beta_d4),
+        "concurrence_trace": lambda mu: concurrence_trace(RHO_PLUS0, cnot, set_d4, [mu],
+                                                          trials=1, beta=beta_d4),
+        "qpt run": lambda mu: run_cli(capsys, "qpt", "run", "--dim", "4", "--channel", "cnot",
+                                      f"--mu={mu}", "--out", str(tmp_path / "chi.json")),
+        "sweep": lambda mu: run_cli(capsys, "sweep", "--channels", "cnot", "--trials", "1",
+                                    f"--mu-start={mu}", f"--mu-end={mu}",
+                                    "--out", str(tmp_path / "rows.csv")),
+    }
+
+
+class TestNoiseRule:
+    """NoiseConfig's rule on mu, applied by every entry point."""
+
+    @pytest.mark.parametrize("entry", ["perturb_probabilities", "run_trial", "run_sweep",
+                                       "concurrence_trace", "qpt run", "sweep"])
+    @pytest.mark.parametrize("mu", [-0.01, 1.01, float("nan"), float("inf")])
+    def test_every_entry_point_rejects_mu(self, set_d4, beta_d4, capsys, tmp_path, entry, mu):
+        with pytest.raises(ValidationError) as want:
+            NoiseConfig(mu, 0)
+        message = str(want.value)
+        if entry == "sweep" and not np.isfinite(mu):
+            # the sweep command builds its grid first, and the grid's own
+            # rule rejects a non-finite bound
+            message = f"grid bounds and step must be finite, got {mu}, {mu}, 0.01"
+        call = _rule_entry_points(set_d4, beta_d4, capsys, tmp_path)[entry]
+        if entry in ("qpt run", "sweep"):
+            code, out, err = call(mu)
+            assert (code, out, err) == (1, "", f"error: {message}\n")
+            assert list(tmp_path.iterdir()) == []
+        else:
+            with pytest.raises(ValidationError) as got:
+                call(mu)
+            assert str(got.value) == message
+
+    @pytest.mark.parametrize("seed", [-1, 3.7, float("nan"), True])
+    def test_run_trial_rejects_bad_seed(self, set_d2, beta_d2, seed):
+        # 3.7 was truncated to 3 and NaN raised numpy's ValueError
+        with pytest.raises(ValidationError) as want:
+            NoiseConfig(0.05, seed)
+        with pytest.raises(ValidationError) as got:
+            run_trial(parse_channel_spec("dep:0.1", 2), set_d2, beta_d2, 0.05, seed)
+        assert str(got.value) == str(want.value) == f"seed must be an integer >= 0, got {seed!r}"
 
 
 class TestStreams:
@@ -136,7 +189,7 @@ class TestBlockKernels:
             assert rng.random() == trial_rng(2, 0, 0, t).random()
 
     def test_nan_mu_message_unchanged(self, exact):
-        with pytest.raises(ValidationError, match=r"^probability tensor contains NaN or Inf$"):
+        with pytest.raises(ValidationError, match=r"^error amplitude nan outside \[0, 1\]$"):
             perturb_probabilities(exact, float("nan"), trial_rng(0, 0, 0, 0))
 
     @pytest.mark.parametrize("table,message", [
@@ -162,21 +215,6 @@ class TestBlockKernels:
         assert fids.shape == (17,)
         for f, chi in zip(fids, chis):
             assert f == process_fidelity(chi_ref, chi)
-
-    def test_imaginary_residual_logged_per_matrix(self, exact, beta_d4, caplog):
-        ref = solve_chi(beta_d4, exact).matrix
-        # Tr(ref X) is imaginary for anti-Hermitian X and real for Hermitian X
-        herm = [ref, np.diag(np.arange(20.0)), ref @ ref]
-        stack = np.stack([1j * herm[1], herm[0], 1j * herm[2]])
-        with caplog.at_level(logging.WARNING, logger="mubqpt.tomography"):
-            _fidelities(ref, stack)
-        warned = [r.getMessage() for r in caplog.records]
-        assert len(warned) == 2
-        assert all(m.startswith("fidelity imaginary residual ") for m in warned)
-        caplog.clear()
-        with caplog.at_level(logging.WARNING, logger="mubqpt.tomography"):
-            process_fidelity(ChiMatrix(4, ref), ChiMatrix(4, stack[0]))
-        assert [r.getMessage() for r in caplog.records] == warned[:1]
 
 
 class TestTrials:

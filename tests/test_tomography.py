@@ -21,6 +21,7 @@ from mubqpt import (
     load_chi,
     load_probabilities,
     make_cnot,
+    matrix_to_json,
     n_projectors,
     parse_channel_spec,
     perturb_probabilities,
@@ -293,6 +294,65 @@ class TestFrameSolve:
             assert trace_distance(apply_chi(chi, rho, mub_set), apply_channel(ch, rho)) <= 1e-8
 
 
+def refine_formula(raw, beta):
+    """The matrix refine_physical gives, by the formulas it used before
+    ChiMatrix owned Hermiticity: its input and its output symmetrized
+    in place."""
+    d = beta.dim
+    w, dual = beta.frame, beta.dual
+    t = raw.matrix
+    x = w @ (0.5 * (t + t.conj().T)) @ w.conj().T
+    tol = 1e-12 * np.linalg.norm(x)
+    eye = np.eye(d)
+    q = np.zeros_like(x)
+    for _ in range(1000):
+        y = x - np.kron(eye, np.einsum("ijil->jl", x.reshape(d, d, d, d)) - eye) / d
+        lam, u = np.linalg.eigh(y + q)
+        x_new = (u * np.clip(lam, 0.0, None)) @ u.conj().T
+        q = y + q - x_new
+        step = np.linalg.norm(x_new - x)
+        x = x_new
+        if step <= tol:
+            break
+    chi = dual.conj().T @ x @ dual
+    return 0.5 * (chi + chi.conj().T)
+
+
+class TestChiMatrix:
+    def test_hermiticity_bound(self, rng):
+        g = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        herm = g + g.conj().T
+        anti = (g - g.conj().T) / np.abs(g - g.conj().T).max()  # largest entry 1
+        with pytest.raises(ValidationError, match="process matrix is not Hermitian"):
+            ChiMatrix(2, herm + 1e-6 * anti)
+        m = herm + 1e-9 * anti
+        chi = ChiMatrix(2, m)
+        assert chi.matrix.tobytes() == (0.5 * (m + m.conj().T)).tobytes()
+        assert np.array_equal(chi.matrix, chi.matrix.conj().T)
+        assert not chi.matrix.flags.writeable
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_producers_keep_their_formulas(self, request, tmp_path, dim):
+        # solve_chi, refine_physical and load_chi give the bytes of the
+        # symmetrizations they wrote out before ChiMatrix did it for them
+        mub_set = request.getfixturevalue(f"set_d{dim}")
+        beta = request.getfixturevalue(f"beta_d{dim}")
+        ch = random_stinespring_channel(dim, 2, np.random.default_rng(dim))
+        noisy = perturb_probabilities(process_probabilities(ch, mub_set), 0.1,
+                                      trial_rng(4, dim, 0, 0))
+        m = tomography._solve_tables(beta, noisy.values[None])[0]
+        raw = solve_chi(beta, noisy)
+        assert raw.matrix.tobytes() == (0.5 * (m + m.conj().T)).tobytes()
+        refined = refine_physical(raw, noisy, beta, mub_set)
+        assert refined.matrix.tobytes() == refine_formula(raw, beta).tobytes()
+        skewed = refined.matrix + 1e-12 * np.triu(np.ones_like(refined.matrix), 1)
+        path = tmp_path / "chi.json"
+        path.write_text(json.dumps({**matrix_to_json(skewed), "dim": dim,
+                                    "index_order": "gamma-major"}))
+        formula = 0.5 * (skewed + skewed.conj().T)
+        assert load_chi(path).matrix.tobytes() == formula.tobytes()
+
+
 class TestSolveChi:
     def test_identity_process(self, set_d2, beta_d2, rng):
         ch = parse_channel_spec("dep:0", 2)
@@ -450,13 +510,13 @@ class TestRefinement:
         with pytest.raises(ValidationError):
             refine_physical(raw, p, beta_d4, set_d2)
 
-    def test_rejects_non_hermitian_raw(self, set_d2, beta_d2):
+    def test_rejects_non_hermitian_raw(self):
+        # a raw estimate that is not Hermitian cannot reach refine_physical:
+        # ChiMatrix rejects it
         m = np.zeros((6, 6), dtype=complex)
         m[0, 1] = 1.0
-        raw = ChiMatrix(2, m)
-        p = process_probabilities(parse_channel_spec("dep:0.3", 2), set_d2)
-        with pytest.raises(ValidationError):
-            refine_physical(raw, p, beta_d2, set_d2)
+        with pytest.raises(ValidationError, match="process matrix is not Hermitian"):
+            ChiMatrix(2, m)
 
     def test_gradient_matches_finite_differences(self, set_d2, rng):
         n = 6
