@@ -7,15 +7,26 @@ bias, not zero-mean noise; it is applied verbatim. Each trial re-solves
 the process matrix from the corrupted tensor and scores it against the
 exact one. Sweeps walk a grid of error amplitudes with a fixed number of
 trials per point and fully deterministic per-trial random streams, so a
-sweep is reproducible bit for bit. The trials of one point run in blocks
-of 16: the noise is drawn into one array and range-checked once, the
-tables are solved by stacked dual-frame products and the fidelities are
-scored by one stacked product. Each per-trial function is the one-trial
-case of its block kernel, so rows do not depend on the block size.
+sweep is reproducible bit for bit.
+
+Trial t of channel c at noise level m draws from the Philox stream of
+SeedSequence(base_seed, spawn_key=(c, m, t)), the stream trial_rng
+returns. A sweep computes the Philox keys of all its streams in one
+array pass (_stream_keys runs numpy's SeedSequence mixing, after
+O'Neill's randutils seed_seq_fe, with the index words as uint64 arrays)
+and draws each trial's noise by resetting one reused Philox to the
+trial's key. numpy keeps that mixing stable (NEP 19); a test pins the
+keys to SeedSequence's, so a numpy that changed it would fail loudly.
+The trials of one point run in blocks of 16: the noise is drawn into one
+array and range-checked once, the tables are solved by stacked
+dual-frame products and the fidelities are scored by one stacked
+product. Each per-trial function is the one-trial case of its block
+kernel, so rows do not depend on the block size.
 """
 from __future__ import annotations
 
 import logging
+import numbers
 import time
 from dataclasses import dataclass
 from typing import get_type_hints
@@ -72,9 +83,13 @@ _MAX_GRID_POINTS = 10_000
 
 
 # NoiseConfig's rule, one predicate per noise parameter
-def _check_mu(mu: float) -> None:
+def _check_mu(mu: float) -> float:
+    # a real number, returned as the Python float the results carry
+    if isinstance(mu, bool) or not isinstance(mu, numbers.Real):
+        raise ValidationError(f"error amplitude must be a real number, got {mu!r}")
     if not 0.0 <= mu <= 1.0:  # NaN fails too
         raise ValidationError(f"error amplitude {mu} outside [0, 1]")
+    return float(mu)
 
 
 def _check_seed(seed: int) -> int:
@@ -82,6 +97,11 @@ def _check_seed(seed: int) -> int:
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValidationError(f"seed must be an integer >= 0, got {seed!r}")
     return seed
+
+
+def _check_trials(trials: int) -> None:
+    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or trials < 1:
+        raise ValidationError(f"trials must be an integer >= 1, got {trials!r}")
 
 
 @dataclass(frozen=True)
@@ -94,8 +114,7 @@ class NoiseConfig:
 
     def __post_init__(self):
         _check_mu(self.mu)
-        if self.trials < 1:
-            raise ValidationError(f"trials must be >= 1, got {self.trials}")
+        _check_trials(self.trials)
         _check_seed(self.seed)
 
 
@@ -147,23 +166,105 @@ def trial_rng(base_seed: int, channel_index: int, mu_index: int, trial_index: in
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _perturb_tables(exact: ProbabilityTensor, mu: float, rngs) -> np.ndarray:
-    """The noisy tables of k trials as a (k, n^2) array: row i is
-    `exact` + mu * zeta_i with zeta_i drawn from rngs[i], renormalized
-    to unit sum within each (input, outcome-basis) group of D entries.
-    The caller has checked mu and range-checks the block:
-    ProbabilityTensor for one table, _check_probabilities for a block.
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx, after
+# O'Neill's randutils seed_seq_fe): a pool of four 32-bit words, the
+# hashmix constant sequences and the mix multipliers
+_POOL = 4
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
-    mu = 0 returns copies of the exact table and draws nothing (a
+
+def _stream_keys(base_seed: int, ch, level, trial) -> np.ndarray:
+    """The Philox keys of the trial_rng streams of (ch, level, trial),
+    broadcast over integer index arrays below 2**32: a (..., 2) uint64
+    array whose entry for (c, m, t) equals
+    SeedSequence(base_seed, spawn_key=(c, m, t)).generate_state(2, np.uint64).
+
+    Runs SeedSequence's mixing on 32-bit words: the base seed's words on
+    Python ints, the index words on uint64 arrays that keep a trailing
+    axis, so no operand is a numpy scalar. Every product is of two words
+    below 2**32 and every difference is taken as a sum plus 2**32, so no
+    uint64 operation wraps. The base seed is split into 32-bit words as
+    numpy splits it; up to four words are zero-padded into the pool, and
+    extra words are mixed in after it.
+    """
+    seed = int(base_seed)
+    entropy = [seed & _MASK32]
+    while seed >> 32:
+        seed >>= 32
+        entropy.append(seed & _MASK32)
+    entropy += [0] * (_POOL - len(entropy))
+    entropy += [np.asarray(i, dtype=np.uint64)[..., None] for i in (ch, level, trial)]
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        r = ((_MIX_L * x & _MASK32) + (_MASK32 + 1) - (_MIX_R * y & _MASK32)) & _MASK32
+        return r ^ (r >> 16)
+
+    pool = [hashmix(w) for w in entropy[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_const = _INIT_B
+    state = []
+    for word in pool:  # generate_state: four 32-bit words, little-endian pairs
+        word = word ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        word = word * hash_const & _MASK32
+        state.append(word ^ (word >> 16))
+    return np.concatenate([state[0] | state[1] << 32, state[2] | state[3] << 32], axis=-1)
+
+
+def _stream_filler():
+    """fill(keys, out): row i of out gets the uniforms of the stream whose
+    Philox key is keys[i], the draws of the trial_rng stream with that
+    key. Each row resets one reused Philox to {counter 0, the key, an
+    empty buffer}, the state a fresh trial_rng starts from."""
+    bitgen = np.random.Philox(0)
+    gen = np.random.Generator(bitgen)
+    inner = {"counter": [0] * 4, "key": None}
+    state = {"bit_generator": "Philox", "state": inner, "buffer": [0] * 4,
+             "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+    def fill(keys, out):
+        for key, row in zip(keys.tolist(), out):
+            inner["key"] = key
+            bitgen.state = state
+            gen.random(out=row)
+
+    return fill
+
+
+def _perturb_tables(exact: ProbabilityTensor, mu: float, k: int, draw) -> np.ndarray:
+    """The noisy tables of k trials as a (k, n^2) array: draw(z) fills the
+    (k, n^2) array z with uniforms zeta, row i from trial i's stream, and
+    row i is `exact` + mu * zeta_i renormalized to unit sum within each
+    (input, outcome-basis) group of D entries. The caller has checked mu
+    and range-checks the block: ProbabilityTensor for one table,
+    _check_probabilities for a block.
+
+    mu = 0 returns copies of the exact table and calls no draw (a
     renormalization pass could disturb the last bits).
     """
     if mu == 0.0:
-        return np.tile(exact.values, (len(rngs), 1))
-    z = np.empty((len(rngs), exact.values.size))
-    for row, rng in zip(z, rngs):
-        rng.random(out=row)
+        return np.tile(exact.values, (k, 1))
+    z = np.empty((k, exact.values.size))
+    draw(z)
     vals = exact.values + mu * z
-    grouped = vals.reshape(len(rngs), -1, exact.dim)
+    grouped = vals.reshape(k, -1, exact.dim)
     grouped /= grouped.sum(axis=-1, keepdims=True)
     return vals
 
@@ -172,13 +273,14 @@ def perturb_probabilities(
     p: ProbabilityTensor, mu: float, rng: np.random.Generator
 ) -> ProbabilityTensor:
     """p_tilde = p + mu * zeta, renormalized to unit sum within each
-    (input, outcome-basis) group of D entries; mu must lie in [0, 1].
+    (input, outcome-basis) group of D entries; mu must be a real number
+    in [0, 1].
 
     mu = 0 returns the input values unchanged (no renormalization pass,
     which could disturb the last bits).
     """
-    _check_mu(mu)
-    return ProbabilityTensor(p.dim, _perturb_tables(p, mu, [rng])[0])
+    mu = _check_mu(mu)
+    return ProbabilityTensor(p.dim, _perturb_tables(p, mu, 1, lambda z: rng.random(out=z))[0])
 
 
 def run_trial(
@@ -235,33 +337,33 @@ def default_channel_suite() -> list[KrausChannel]:
     ]
 
 
-def _noise_grid(mu_grid, base_seed: int, trials: int) -> list:
-    """The noise grid (the default one for None), every point
-    range-checked through NoiseConfig together with `trials`."""
+def _noise_grid(mu_grid, base_seed: int, trials: int) -> tuple[list[float], int]:
+    """The noise grid (the default one for None) as Python floats and the
+    trial count as a Python int, every point checked through NoiseConfig
+    together with `base_seed` and `trials`."""
     mus = list(mu_grid) if mu_grid is not None else default_mu_grid()
     if not mus:
         raise ValidationError("noise grid is empty")
     for mu in mus:
         NoiseConfig(mu, base_seed, trials)
-    return mus
+    return [float(mu) for mu in mus], int(trials)
 
 
 # trials per stacked solve: whole 100-trial points are no faster and hold ~4 MiB more at peak
 _BLOCK = 16
 
 
-def _trial_estimates(exact, mu, beta, base_seed, ch_idx, mu_idx, trials):
-    """(noisy tables, raw estimates) of trials 0..trials-1 of one noise
-    point, in trial order, _BLOCK trials at a time: a (k, n^2) block of
-    tables, each drawn from its own trial_rng stream and checked as one
-    array, and the (k, n, n) stack of their Hermitian estimates, solved
-    by one stacked dual-frame product. Each estimate is the matrix
-    solve_chi gives bit for bit (the asymmetry and forward residual are
-    not computed)."""
-    for start in range(0, trials, _BLOCK):
-        rngs = [trial_rng(base_seed, ch_idx, mu_idx, t)
-                for t in range(start, min(start + _BLOCK, trials))]
-        tables = _perturb_tables(exact, mu, rngs)
+def _trial_estimates(exact, mu, beta, keys, fill):
+    """(noisy tables, raw estimates) of the trials of one noise point, in
+    the order of their (trials, 2) Philox keys, _BLOCK trials at a time:
+    a (k, n^2) block of tables, each drawn by fill (a _stream_filler) from
+    its own stream and checked as one array, and the (k, n, n) stack of
+    their Hermitian estimates, solved by one stacked dual-frame product.
+    Each estimate is the matrix solve_chi gives bit for bit (the
+    asymmetry and forward residual are not computed)."""
+    for start in range(0, len(keys), _BLOCK):
+        block = keys[start:start + _BLOCK]
+        tables = _perturb_tables(exact, mu, len(block), lambda z: fill(block, z))
         _check_probabilities(tables)
         m = _solve_tables(beta, tables)
         yield tables, 0.5 * (m + m.conj().swapaxes(-1, -2))
@@ -280,17 +382,21 @@ def run_sweep(
 
     Rows are ordered by (mu, channel, trial) and every trial draws from
     its own stream keyed by (base_seed, channel index, mu index, trial
-    index), so identical inputs give identical results. The trials of
-    one (mu, channel) point are drawn, range-checked, solved and scored
-    in blocks of 16 as stacked arrays (refinement runs per trial); each
-    row equals the `run_trial` fidelity of its stream, so rows do not
-    depend on the block size. Each finished noise level is logged at
-    INFO with its trials per second.
+    index), the trial_rng stream, so identical inputs give identical
+    results. The Philox keys of all streams are computed in one array
+    pass with numpy's SeedSequence algorithm, which a test pins to
+    SeedSequence itself, and each trial's noise is drawn by resetting one
+    reused Philox to its key. The trials of one (mu, channel) point are
+    drawn, range-checked, solved and scored in blocks of 16 as stacked
+    arrays (refinement runs per trial); each row equals the `run_trial`
+    fidelity of its stream, so rows do not depend on the block size.
+    Rows and aggregates carry mu as a Python float. Each finished noise
+    level is logged at INFO with its trials per second.
     """
     channels = list(channels)
     if not channels:
         raise ValidationError("need at least one channel")
-    mus = _noise_grid(mu_grid, base_seed, trials)
+    mus, trials = _noise_grid(mu_grid, base_seed, trials)
     if beta is None:
         beta = build_beta(mub_set)
     d = beta.dim
@@ -298,6 +404,9 @@ def run_sweep(
     for ch in channels:
         exact = process_probabilities(ch, mub_set)
         prepared.append((ch, exact, solve_chi(beta, exact)))
+    keys = _stream_keys(base_seed, np.arange(len(prepared))[:, None],
+                        np.arange(len(mus))[:, None, None], np.arange(trials))
+    fill = _stream_filler()
 
     rows = []
     aggregates = []
@@ -305,7 +414,7 @@ def run_sweep(
         start = time.perf_counter()
         for ch_idx, (ch, exact, chi_ref) in enumerate(prepared):
             fids = []
-            blocks = _trial_estimates(exact, mu, beta, base_seed, ch_idx, mu_idx, trials)
+            blocks = _trial_estimates(exact, mu, beta, keys[mu_idx, ch_idx], fill)
             for tables, chis in blocks:
                 if refine:
                     chis = np.stack([
@@ -343,15 +452,17 @@ def concurrence_trace(
     rho = check_density_matrix(input_rho, dim=4)
     if mub_set.dim != 4:
         raise ValidationError("concurrence trace requires the two-qubit set")
-    mus = _noise_grid(mu_grid, base_seed, trials)
+    mus, trials = _noise_grid(mu_grid, base_seed, trials)
     if beta is None:
         beta = build_beta(mub_set)
     exact = process_probabilities(ch, mub_set)
+    keys = _stream_keys(base_seed, 0, np.arange(len(mus))[:, None], np.arange(trials))
+    fill = _stream_filler()
     points = []
     for mu_idx, mu in enumerate(mus):
         vals = [
             concurrence(nearest_density_matrix(apply_chi(ChiMatrix(beta.dim, h), rho, mub_set)))
-            for _, chis in _trial_estimates(exact, mu, beta, base_seed, 0, mu_idx, trials)
+            for _, chis in _trial_estimates(exact, mu, beta, keys[mu_idx], fill)
             for h in chis
         ]
         points.append(ConcurrencePoint(mu, float(np.mean(vals))))

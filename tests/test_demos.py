@@ -1,4 +1,5 @@
-"""Every demo runs to completion as a script."""
+"""Every demo runs to completion as a script, with warnings as errors as
+in the test suite itself."""
 
 import os
 import subprocess
@@ -18,7 +19,7 @@ def test_demo_runs(demo, tmp_path):
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
     proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env,
+        [sys.executable, "-W", "error", str(demo)], cwd=tmp_path, env=env,
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr

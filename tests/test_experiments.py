@@ -4,6 +4,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from mubqpt import (
     NoiseConfig,
@@ -28,7 +30,7 @@ from mubqpt import (
     trial_rng,
 )
 from mubqpt import experiments
-from mubqpt.experiments import _perturb_tables
+from mubqpt.experiments import _perturb_tables, _stream_filler, _stream_keys
 from mubqpt.tomography import _check_probabilities, _fidelities
 from test_cli import run_cli
 from test_tomography import random_stinespring_channel
@@ -107,6 +109,33 @@ class TestNoiseRule:
                 call(mu)
             assert str(got.value) == message
 
+    @pytest.mark.parametrize("entry", ["perturb_probabilities", "run_trial", "run_sweep",
+                                       "concurrence_trace"])
+    @pytest.mark.parametrize("mu", [True, False, "0.1", None, 0.1j])
+    def test_every_entry_point_rejects_non_real_mu(self, set_d4, beta_d4, capsys, tmp_path,
+                                                    entry, mu):
+        # True ran at mu = 1 and "0.1" leaked a TypeError
+        message = f"error amplitude must be a real number, got {mu!r}"
+        with pytest.raises(ValidationError) as want:
+            NoiseConfig(mu, 0)
+        with pytest.raises(ValidationError) as got:
+            _rule_entry_points(set_d4, beta_d4, capsys, tmp_path)[entry](mu)
+        assert str(got.value) == str(want.value) == message
+
+    @pytest.mark.parametrize("trials", [2.5, True, "3", None, 0, -1])
+    def test_trials_must_be_a_positive_integer(self, set_d4, beta_d4, trials):
+        # 2.5 died in range() and True ran one trial and wrote True
+        message = f"trials must be an integer >= 1, got {trials!r}"
+        cnot = make_cnot()
+        calls = [lambda: NoiseConfig(0.05, 0, trials),
+                 lambda: run_sweep([cnot], set_d4, [0.05], trials=trials, beta=beta_d4),
+                 lambda: concurrence_trace(RHO_PLUS0, cnot, set_d4, [0.05], trials=trials,
+                                           beta=beta_d4)]
+        for call in calls:
+            with pytest.raises(ValidationError) as got:
+                call()
+            assert str(got.value) == message
+
     @pytest.mark.parametrize("seed", [-1, 3.7, float("nan"), True])
     def test_run_trial_rejects_bad_seed(self, set_d2, beta_d2, seed):
         # 3.7 was truncated to 3 and NaN raised numpy's ValueError
@@ -132,6 +161,58 @@ class TestStreams:
         assert not np.array_equal(
             trial_rng(1, 0, 0, 0).random(5), trial_rng(2, 0, 0, 0).random(5)
         )
+
+
+INDEX = st.integers(0, 2**32 - 1) | st.sampled_from([0, 2**32 - 1])
+INDICES = st.lists(INDEX, min_size=1, max_size=3)
+
+
+class TestStreamKeys:
+    """The sweep's stream keys against numpy's SeedSequence, and its
+    reused-Philox draws against trial_rng's streams."""
+
+    @given(seed=st.integers(0, 2**32 - 1) | st.integers(2**32, 2**128 - 1)
+           | st.integers(2**128, 2**300), chs=INDICES, levels=INDICES, trials=INDICES)
+    @example(seed=0, chs=[0], levels=[0], trials=[0])
+    @example(seed=2**32 - 1, chs=[2**32 - 1], levels=[2**32 - 1], trials=[0, 2**32 - 1])
+    @example(seed=2**32, chs=[0], levels=[1], trials=[2])
+    @example(seed=2**64 + 3, chs=[1], levels=[0, 2**32 - 1], trials=[7])
+    @example(seed=2**130 + 7, chs=[0, 2], levels=[3], trials=[2**32 - 1])
+    def test_keys_equal_seed_sequence(self, seed, chs, levels, trials):
+        keys = _stream_keys(seed, np.array(chs)[:, None], np.array(levels)[:, None, None],
+                            np.array(trials))
+        assert keys.dtype == np.uint64
+        assert keys.shape == (len(levels), len(chs), len(trials), 2)
+        for m, c, t in np.ndindex(keys.shape[:-1]):
+            key = (chs[c], levels[m], trials[t])
+            want = np.random.SeedSequence(seed, spawn_key=key).generate_state(2, np.uint64)
+            assert np.array_equal(keys[m, c, t], want)
+        one = _stream_keys(seed, chs[0], levels[0], trials[0])
+        assert one.shape == (2,) and np.array_equal(one, keys[0, 0, 0])
+
+    @pytest.mark.parametrize("seed", [np.uint64(2**63 + 5), np.int32(7), 2**64 - 1])
+    def test_integer_seed_types(self, seed):
+        want = np.random.SeedSequence(seed, spawn_key=(1, 2, 3)).generate_state(2, np.uint64)
+        assert np.array_equal(_stream_keys(seed, 1, 2, 3), want)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_block_draws_equal_trial_rng(self, request, dim):
+        mub_set = request.getfixturevalue(f"set_d{dim}")
+        beta = request.getfixturevalue(f"beta_d{dim}")
+        exact = process_probabilities(sweep_channels(dim, "rank:2")[0], mub_set)
+        trials = 20
+        keys, fill = _stream_keys(5, 2, 1, np.arange(trials)), _stream_filler()
+        # row lengths that leave part of Philox's 4-word buffer unread
+        for size in (1, 2, 3, 5, exact.values.size):
+            zeta = np.empty((trials, size))
+            fill(keys, zeta)
+            for t, row in enumerate(zeta):
+                assert np.array_equal(row, trial_rng(5, 2, 1, t).random(size))
+        blocks = experiments._trial_estimates(exact, 0.05, beta, keys, fill)
+        tables = np.concatenate([tables for tables, _ in blocks])
+        for t, row in enumerate(tables):
+            one = perturb_probabilities(exact, 0.05, trial_rng(5, 2, 1, t))
+            assert np.array_equal(row, one.values)
 
 
 class TestPerturbation:
@@ -174,7 +255,8 @@ class TestBlockKernels:
     @pytest.mark.parametrize("mu", [0.05, 0.3])
     def test_perturb_rows_equal_per_trial(self, exact, mu):
         trials = [0, 1, 5, 16, 17]
-        block = _perturb_tables(exact, mu, [trial_rng(2, 1, 3, t) for t in trials])
+        keys, fill = _stream_keys(2, 1, 3, np.array(trials)), _stream_filler()
+        block = _perturb_tables(exact, mu, len(trials), lambda z: fill(keys, z))
         assert block.shape == (len(trials), exact.values.size)
         for row, t in zip(block, trials):
             one = perturb_probabilities(exact, mu, trial_rng(2, 1, 3, t))
@@ -182,7 +264,8 @@ class TestBlockKernels:
 
     def test_zero_mu_copies_exact_and_draws_nothing(self, exact):
         rngs = [trial_rng(2, 0, 0, t) for t in range(3)]
-        block = _perturb_tables(exact, 0.0, rngs)
+        block = _perturb_tables(exact, 0.0, 3,
+                                lambda z: [rng.random(out=row) for rng, row in zip(rngs, z)])
         assert not np.shares_memory(block, exact.values)
         for row, rng, t in zip(block, rngs, range(3)):
             assert np.array_equal(row, exact.values)
@@ -392,6 +475,14 @@ class TestConcurrenceTrace:
                                     base_seed=4, beta=beta_d4)
             assert [(pt.mu, pt.mean_concurrence) for pt in pts] == expected
 
+    def test_numpy_levels_are_floats(self, set_d4, beta_d4):
+        grid = np.array([0.0, 0.05])
+        pts = concurrence_trace(RHO_PLUS0, make_cnot(), set_d4, grid, trials=2, beta=beta_d4)
+        assert [pt.mu for pt in pts] == [0.0, 0.05]
+        assert all(type(pt.mu) is float for pt in pts)
+        assert pts == concurrence_trace(RHO_PLUS0, make_cnot(), set_d4, grid.tolist(), trials=2,
+                                        beta=beta_d4)
+
     @pytest.mark.parametrize("mu_grid,trials", [([2.0], 1), ([0.05], 0)])
     def test_rejects_out_of_range_noise(self, set_d4, beta_d4, mu_grid, trials):
         with pytest.raises(ValidationError):
@@ -437,6 +528,29 @@ class TestExport:
         assert back.rows == small_result.rows
         assert back.aggregates == small_result.aggregates
         json.loads(path.read_text())  # well-formed document
+
+    def test_numpy_grid_exports_like_floats(self, set_d2, beta_d2, tmp_path):
+        # np.float64 levels were written as "np.float64(0.01)"
+        chans = [parse_channel_spec("dep:0.2", 2)]
+        grid = np.arange(1, 4) * 0.01
+        paths = []
+        for levels in (grid, grid.tolist()):
+            res = run_sweep(chans, set_d2, levels, trials=3, beta=beta_d2)
+            assert all(type(r.mu) is float for r in res.rows + res.aggregates)
+            paths.append((tmp_path / f"rows{len(paths)}.csv", tmp_path / f"agg{len(paths)}.csv"))
+            export_results(res, "csv", *paths[-1])
+        for a, b in zip(*paths):
+            assert a.read_bytes() == b.read_bytes()
+
+    def test_float32_level_and_numpy_trials_round_trip_json(self, set_d2, beta_d2, tmp_path):
+        # an np.float32 level made export_results raise a raw TypeError
+        res = run_sweep([parse_channel_spec("dep:0.2", 2)], set_d2, [np.float32(0.05)],
+                        trials=np.int64(2), beta=beta_d2)
+        assert res.rows[0].mu == float(np.float32(0.05)) and type(res.rows[0].mu) is float
+        assert type(res.aggregates[0].trials) is int
+        path = tmp_path / "res.json"
+        export_results(res, "json", path)
+        assert import_results(path) == res
 
     def test_rejects_unknown_format(self, small_result, tmp_path):
         with pytest.raises(ValidationError):
