@@ -39,7 +39,6 @@ from .experiments import (
 )
 from .mub import (
     ComplexityModel,
-    MubIndex,
     MubReport,
     MubSet,
     Projector,
@@ -52,7 +51,6 @@ from .mub import (
     generate_mub,
     generate_mub_prime,
     generate_mub_two_power,
-    index_from_flat,
     load_mub,
     mub_from_json,
     mub_to_json,
@@ -65,13 +63,11 @@ from .numerics import (
     as_complex_matrix,
     check_density_matrix,
     frobenius_norm,
-    hermitian_eig,
     hermiticity_defect,
     matrix_from_json,
     matrix_to_json,
     nearest_density_matrix,
     random_density_matrix,
-    svd_pseudoinverse,
     trace_distance,
 )
 from .tomography import (

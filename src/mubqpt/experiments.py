@@ -11,8 +11,8 @@ sweep is reproducible bit for bit.
 
 Trial t of channel c at noise level m draws from the Philox stream of
 SeedSequence(base_seed, spawn_key=(c, m, t)), the stream trial_rng
-returns. A sweep computes the Philox keys of all its streams in one
-array pass (_stream_keys runs numpy's SeedSequence mixing, after
+returns. A sweep computes the Philox keys of each noise level's streams
+in one array pass (_stream_keys runs numpy's SeedSequence mixing, after
 O'Neill's randutils seed_seq_fe, with the index words as uint64 arrays)
 and draws each trial's noise by resetting one reused Philox to the
 trial's key. numpy keeps that mixing stable (NEP 19); a test pins the
@@ -383,13 +383,14 @@ def run_sweep(
     Rows are ordered by (mu, channel, trial) and every trial draws from
     its own stream keyed by (base_seed, channel index, mu index, trial
     index), the trial_rng stream, so identical inputs give identical
-    results. The Philox keys of all streams are computed in one array
-    pass with numpy's SeedSequence algorithm, which a test pins to
-    SeedSequence itself, and each trial's noise is drawn by resetting one
-    reused Philox to its key. The trials of one (mu, channel) point are
-    drawn, range-checked, solved and scored in blocks of 16 as stacked
-    arrays (refinement runs per trial); each row equals the `run_trial`
-    fidelity of its stream, so rows do not depend on the block size.
+    results. The Philox keys of each noise level's streams are computed
+    in one array pass, just before that level runs, with numpy's
+    SeedSequence algorithm, which a test pins to SeedSequence itself, and
+    each trial's noise is drawn by resetting one reused Philox to its
+    key. The trials of one (mu, channel) point are drawn, range-checked,
+    solved and scored in blocks of 16 as stacked arrays (refinement runs
+    per trial); each row equals the `run_trial` fidelity of its stream,
+    so rows do not depend on the block size.
     Rows and aggregates carry mu as a Python float. Each finished noise
     level is logged at INFO with its trials per second.
     """
@@ -404,17 +405,17 @@ def run_sweep(
     for ch in channels:
         exact = process_probabilities(ch, mub_set)
         prepared.append((ch, exact, solve_chi(beta, exact)))
-    keys = _stream_keys(base_seed, np.arange(len(prepared))[:, None],
-                        np.arange(len(mus))[:, None, None], np.arange(trials))
     fill = _stream_filler()
 
     rows = []
     aggregates = []
     for mu_idx, mu in enumerate(mus):
         start = time.perf_counter()
+        keys = _stream_keys(base_seed, np.arange(len(prepared))[:, None], mu_idx,
+                            np.arange(trials))
         for ch_idx, (ch, exact, chi_ref) in enumerate(prepared):
             fids = []
-            blocks = _trial_estimates(exact, mu, beta, keys[mu_idx, ch_idx], fill)
+            blocks = _trial_estimates(exact, mu, beta, keys[ch_idx], fill)
             for tables, chis in blocks:
                 if refine:
                     chis = np.stack([
@@ -456,13 +457,13 @@ def concurrence_trace(
     if beta is None:
         beta = build_beta(mub_set)
     exact = process_probabilities(ch, mub_set)
-    keys = _stream_keys(base_seed, 0, np.arange(len(mus))[:, None], np.arange(trials))
     fill = _stream_filler()
     points = []
     for mu_idx, mu in enumerate(mus):
+        keys = _stream_keys(base_seed, 0, mu_idx, np.arange(trials))
         vals = [
             concurrence(nearest_density_matrix(apply_chi(ChiMatrix(beta.dim, h), rho, mub_set)))
-            for _, chis in _trial_estimates(exact, mu, beta, keys[mu_idx], fill)
+            for _, chis in _trial_estimates(exact, mu, beta, keys, fill)
             for h in chis
         ]
         points.append(ConcurrencePoint(mu, float(np.mean(vals))))

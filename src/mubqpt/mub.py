@@ -31,13 +31,11 @@ from .paulis import pauli_string
 
 __all__ = [
     "MubSet",
-    "MubIndex",
     "Projector",
     "MubReport",
     "ComplexityModel",
     "PAULI_PARTITION",
     "flat_index",
-    "index_from_flat",
     "n_projectors",
     "generate_mub_prime",
     "generate_mub_two_power",
@@ -126,15 +124,6 @@ class MubSet:
 
 
 @dataclass(frozen=True)
-class MubIndex:
-    """Basis/state label pair with its flat vectorization index."""
-
-    gamma: int
-    m: int
-    flat: int
-
-
-@dataclass(frozen=True)
 class Projector:
     """Rank-1 projector |psi_m^(gamma)><psi_m^(gamma)|."""
 
@@ -174,13 +163,6 @@ def flat_index(gamma: int, m: int, dim: int) -> int:
     if not 1 <= m <= dim:
         raise ValidationError(f"state label {m} outside 1..{dim}")
     return gamma * dim + (m - 1)
-
-
-def index_from_flat(flat: int, dim: int) -> MubIndex:
-    """Inverse of flat_index."""
-    if not 0 <= flat < n_projectors(dim):
-        raise ValidationError(f"flat index {flat} outside 0..{n_projectors(dim) - 1}")
-    return MubIndex(flat // dim, flat % dim + 1, flat)
 
 
 def _is_prime(n: int) -> bool:

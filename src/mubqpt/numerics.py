@@ -1,5 +1,6 @@
-"""Dense complex matrix kernel: Hermitian eigendecomposition, pseudoinverse,
-norms, distances, and density-matrix utilities used by every other module."""
+"""Dense complex matrix kernel: input coercion, the Hermiticity bound,
+norms, distances, density-matrix utilities and the strict JSON readers
+and writers used by every other module."""
 from __future__ import annotations
 
 import json
@@ -10,15 +11,13 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 
-# _require_hermitian's bound on |M - M^dag|; svd_pseudoinverse's relative rank cutoff
-_HERMITIAN_TOL, _RANK_TOL = 1e-8, 1e-10
+# _require_hermitian's bound on |M - M^dag|
+_HERMITIAN_TOL = 1e-8
 
 __all__ = [
     "as_complex_matrix",
     "hermiticity_defect",
     "frobenius_norm",
-    "hermitian_eig",
-    "svd_pseudoinverse",
     "check_density_matrix",
     "trace_distance",
     "random_density_matrix",
@@ -59,40 +58,6 @@ def _require_hermitian(m: np.ndarray, what: str) -> None:
 def frobenius_norm(m) -> float:
     """sqrt(sum of |entry|^2)."""
     return float(np.linalg.norm(np.asarray(m, dtype=complex)))
-
-
-def hermitian_eig(m) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns (eigenvalues, eigenvectors): real eigenvalues in ascending
-    order and an orthonormal set of eigenvectors as matrix columns.
-    Rejects non-square input, and input whose largest |M - M^dag| entry
-    exceeds 1e-8, naming the violated check and its magnitude.
-    """
-    a = as_complex_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        raise ValidationError(f"matrix is not square: shape {a.shape}")
-    _require_hermitian(a, "matrix")
-    return np.linalg.eigh(a)
-
-
-def svd_pseudoinverse(m) -> tuple[np.ndarray, int, np.ndarray]:
-    """Moore-Penrose pseudoinverse via SVD with a relative rank cutoff.
-
-    Returns (pinv, rank, singular_values). Rank counts singular values
-    above 1e-10 * (largest singular value); the remainder are treated
-    as an exact nullspace. An all-zero matrix yields the zero matrix of
-    transposed shape and rank 0.
-    """
-    a = as_complex_matrix(m)
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((a.shape[1], a.shape[0]), dtype=complex), 0, s
-    rank = int(np.count_nonzero(s > _RANK_TOL * s[0]))
-    inv = np.zeros_like(s)
-    inv[:rank] = 1.0 / s[:rank]
-    pinv = (vh.conj().T * inv) @ u.conj().T
-    return pinv, rank, s
 
 
 def check_density_matrix(rho, dim: int | None = None, tol: float = 1e-10) -> np.ndarray:

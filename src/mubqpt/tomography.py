@@ -25,7 +25,7 @@ positive, trace-preserving map in the Frobenius norm of J.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,7 +41,6 @@ from .numerics import (
     matrix_from_json,
     matrix_to_json,
     read_json_object,
-    svd_pseudoinverse,
     write_json_object,
 )
 
@@ -114,8 +113,9 @@ class BetaMatrix:
     """The four-projector trace matrix, held as its read-only projector
     frame W and dual frame W+^dag = (I - |I>><<I|/(D+1)) W. Construction
     checks the frame identity W W^dag = I + |I>><<I| that makes the dual
-    the pseudoinverse and beta rank D^4; `matrix` and `pinv` build the
-    dense reference on each read."""
+    the pseudoinverse and beta rank D^4. `matrix` builds the dense beta
+    on each read, and `pinv` builds beta+ from the dual frame, as the
+    minimum-norm solves of the n^2 unit tables."""
 
     dim: int
     frame: np.ndarray
@@ -148,7 +148,8 @@ class BetaMatrix:
 
     @property
     def pinv(self) -> np.ndarray:
-        return svd_pseudoinverse(self.matrix)[0]
+        nn = n_projectors(self.dim) ** 2
+        return _solve_tables(self, np.eye(nn)).reshape(nn, nn).T
 
 
 @dataclass(frozen=True)
@@ -372,12 +373,13 @@ def refine_physical(
     else:
         logger.warning("refinement stopped at the %d-round cap", _MAX_ROUNDS)
 
-    chi = ChiMatrix(d, dual.conj().T @ x @ dual, physical=True, asymmetry=chi_raw.asymmetry,
-                    converged=converged)
-    table = _forward(w, chi.matrix, d)  # row b sums Tr(P_s E(P_b)) over each basis
+    m = dual.conj().T @ x @ dual
+    h = 0.5 * (m + m.conj().T)
+    table = _forward(w, h, d)  # row b sums Tr(P_s E(P_b)) over each basis
     resid = float(np.linalg.norm(table.ravel() - p.values))
     tp = float(np.abs(table[:, :d].sum(axis=1) - 1.0).max())
-    return replace(chi, forward_residual=resid, tp_max_violation=tp)
+    return ChiMatrix(d, h, physical=True, asymmetry=chi_raw.asymmetry, forward_residual=resid,
+                     tp_max_violation=tp, converged=converged)
 
 
 def _fidelities(ref: np.ndarray, stack: np.ndarray) -> np.ndarray:

@@ -214,6 +214,24 @@ class TestStreamKeys:
             one = perturb_probabilities(exact, 0.05, trial_rng(5, 2, 1, t))
             assert np.array_equal(row, one.values)
 
+    def test_sweeps_key_one_level_at_a_time(self, set_d4, beta_d4, monkeypatch):
+        # the keys held at once are those of one noise level, whatever the grid
+        calls = []
+
+        def record(seed, ch, level, trial):
+            keys = _stream_keys(seed, ch, level, trial)
+            calls.append((level, keys.shape))
+            return keys
+
+        monkeypatch.setattr(experiments, "_stream_keys", record)
+        chans = [parse_channel_spec("dep:0.2", 4), make_cnot()]
+        run_sweep(chans, set_d4, mu_grid=[0.0, 0.02, 0.05], trials=3, beta=beta_d4)
+        assert calls == [(m, (2, 3, 2)) for m in range(3)]
+        calls.clear()
+        concurrence_trace(RHO_BELL, make_cnot(), set_d4, mu_grid=[0.0, 0.05], trials=3,
+                          beta=beta_d4)
+        assert calls == [(m, (3, 2)) for m in range(2)]
+
 
 class TestPerturbation:
     def test_zero_mu_is_identity(self, set_d2):

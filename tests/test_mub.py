@@ -17,7 +17,6 @@ from mubqpt import (
     generate_mub,
     generate_mub_prime,
     generate_mub_two_power,
-    index_from_flat,
     load_mub,
     mub_from_json,
     mub_to_json,
@@ -234,16 +233,12 @@ class TestProjectorsAndIndexing:
         projs = projectors(set_d4)
         for flat, p in enumerate(projs):
             assert flat_index(p.gamma, p.m, 4) == flat
-            idx = index_from_flat(flat, 4)
-            assert (idx.gamma, idx.m, idx.flat) == (p.gamma, p.m, flat)
 
     def test_index_bounds(self):
         with pytest.raises(ValidationError):
             flat_index(5, 1, 4)
         with pytest.raises(ValidationError):
             flat_index(0, 0, 4)
-        with pytest.raises(ValidationError):
-            index_from_flat(20, 4)
 
 
 class TestFactorization:

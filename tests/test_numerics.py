@@ -11,7 +11,6 @@ from mubqpt import (
     check_density_matrix,
     frobenius_norm,
     generate_mub,
-    hermitian_eig,
     hermiticity_defect,
     make_cnot,
     matrix_from_json,
@@ -22,94 +21,8 @@ from mubqpt import (
     save_kraus,
     save_mub,
     save_probabilities,
-    svd_pseudoinverse,
     trace_distance,
 )
-
-SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
-
-
-def random_hermitian(rng, d):
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    return g + g.conj().T
-
-
-class TestHermitianEig:
-    def test_identity(self):
-        vals, vecs = hermitian_eig(np.eye(2))
-        assert np.allclose(vals, [1.0, 1.0])
-        assert np.allclose(vecs.conj().T @ vecs, np.eye(2), atol=1e-12)
-
-    def test_sigma_z(self):
-        vals, vecs = hermitian_eig(SIGMA_Z)
-        assert np.allclose(vals, [-1.0, 1.0])
-        # eigenvalues ascending: first column is the -1 eigenvector
-        assert abs(vecs[1, 0]) == pytest.approx(1.0, abs=1e-12)
-        assert abs(vecs[0, 1]) == pytest.approx(1.0, abs=1e-12)
-
-    def test_reassembly(self, rng):
-        for _ in range(5):
-            h = random_hermitian(rng, 4)
-            vals, vecs = hermitian_eig(h)
-            back = vecs @ np.diag(vals) @ vecs.conj().T
-            assert np.max(np.abs(back - h)) <= 1e-8
-            assert np.all(np.diff(vals) >= 0)
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValidationError):
-            hermitian_eig(np.ones((2, 3)))
-
-    def test_rejects_non_hermitian(self):
-        m = np.array([[0.0, 1.0], [0.0, 0.0]])
-        with pytest.raises(ValidationError) as exc:
-            hermitian_eig(m)
-        # the defect magnitude is part of the message
-        assert any(ch.isdigit() for ch in str(exc.value))
-
-    def test_rejects_nan(self):
-        with pytest.raises(ValidationError):
-            hermitian_eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
-
-
-class TestPseudoinverse:
-    def test_diagonal(self):
-        pinv, rank, s = svd_pseudoinverse(np.diag([2.0, 4.0]).astype(complex))
-        assert np.allclose(pinv, np.diag([0.5, 0.25]))
-        assert rank == 2
-        assert np.allclose(s, [4.0, 2.0])
-
-    def test_rank_deficient(self):
-        pinv, rank, _ = svd_pseudoinverse(np.diag([1.0, 0.0]).astype(complex))
-        assert rank == 1
-        assert np.allclose(pinv, np.diag([1.0, 0.0]))
-
-    def test_zero_matrix(self):
-        pinv, rank, _ = svd_pseudoinverse(np.zeros((3, 5)))
-        assert rank == 0
-        assert pinv.shape == (5, 3)
-        assert np.all(pinv == 0)
-
-    def test_penrose_identities(self, rng):
-        for shape in [(4, 4), (3, 6), (7, 2)]:
-            m = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-            pinv, rank, _ = svd_pseudoinverse(m)
-            assert rank == min(shape)
-            assert np.max(np.abs(m @ pinv @ m - m)) <= 1e-10
-            assert np.max(np.abs(pinv @ m @ pinv - pinv)) <= 1e-10
-            mp = m @ pinv
-            pm = pinv @ m
-            assert np.max(np.abs(mp - mp.conj().T)) <= 1e-10
-            assert np.max(np.abs(pm - pm.conj().T)) <= 1e-10
-
-    def test_rank_detection(self, rng):
-        # 5x7 matrix assembled from 3 rank-one terms
-        m = np.zeros((5, 7), dtype=complex)
-        for _ in range(3):
-            u = rng.normal(size=5) + 1j * rng.normal(size=5)
-            v = rng.normal(size=7) + 1j * rng.normal(size=7)
-            m += np.outer(u, v)
-        _, rank, _ = svd_pseudoinverse(m)
-        assert rank == 3
 
 
 class TestTraceDistance:

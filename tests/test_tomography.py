@@ -170,13 +170,17 @@ class TestProcessProbabilities:
 
 
 class TestBetaMatrix:
-    def test_shape_and_rank(self, beta_d2, beta_d4):
-        assert beta_d2.matrix.shape == (36, 36) and beta_d2.rank == 16
-        assert beta_d4.matrix.shape == (400, 400) and beta_d4.rank == 256
-        for beta in (beta_d2, beta_d4):
+    def test_shape_and_rank(self, beta_d2, beta_d3, beta_d4, beta_d5):
+        for beta in (beta_d2, beta_d3, beta_d4, beta_d5):
+            nn = n_projectors(beta.dim) ** 2
             m, k = beta.matrix, beta.pinv
-            assert np.max(np.abs(m @ k @ m - m)) <= 1e-8
-            assert np.max(np.abs(k @ m @ k - k)) <= 1e-8
+            assert m.shape == k.shape == (nn, nn) and beta.rank == beta.dim**4
+            # the four Penrose identities: pinv is the Moore-Penrose inverse
+            mk, km = m @ k, k @ m
+            assert np.max(np.abs(mk @ m - m)) <= 1e-8
+            assert np.max(np.abs(km @ k - k)) <= 1e-8
+            assert np.max(np.abs(mk - mk.conj().T)) <= 1e-8
+            assert np.max(np.abs(km - km.conj().T)) <= 1e-8
 
     def test_rank_d3(self, set_d3):
         assert build_beta(set_d3).rank == 81
@@ -247,15 +251,18 @@ class TestBetaMatrix:
 
 
 class TestFrameSolve:
-    """The closed-form dual-frame solve against the dense beta and its SVD
-    pseudoinverse, which it replaces."""
+    """The closed-form dual-frame solve and pinv against the dense beta and
+    numpy's SVD pseudoinverse of it, which they replace."""
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 5])
     def test_matches_dense_reference(self, request, dim):
         mub_set = request.getfixturevalue(f"set_d{dim}")
         beta = request.getfixturevalue(f"beta_d{dim}")
-        dense, kappa = beta.matrix, beta.pinv
+        dense = beta.matrix
+        # an explicit cutoff: numpy's default keeps near-null singular values of beta
+        kappa = np.linalg.pinv(dense, rcond=1e-10)
         assert np.linalg.matrix_rank(dense) == beta.rank == dim**4
+        assert np.max(np.abs(beta.pinv - kappa)) <= 1e-12
         n = n_projectors(dim)
         ch = random_stinespring_channel(dim, 2, np.random.default_rng(300 + dim))
         exact = process_probabilities(ch, mub_set)
@@ -323,8 +330,13 @@ class TestChiMatrix:
         g = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
         herm = g + g.conj().T
         anti = (g - g.conj().T) / np.abs(g - g.conj().T).max()  # largest entry 1
-        with pytest.raises(ValidationError, match="process matrix is not Hermitian"):
+        # the message names the defect, |M - M^dag| = 2e-6 |anti|
+        with pytest.raises(ValidationError, match=r"matrix is not Hermitian: .* 2\.000e-06 >"):
             ChiMatrix(2, herm + 1e-6 * anti)
+        nan = herm.copy()
+        nan[0, 1] = np.nan
+        with pytest.raises(ValidationError):
+            ChiMatrix(2, nan)
         m = herm + 1e-9 * anti
         chi = ChiMatrix(2, m)
         assert chi.matrix.tobytes() == (0.5 * (m + m.conj().T)).tobytes()
