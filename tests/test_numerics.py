@@ -15,6 +15,7 @@ from mubqpt import (
     make_cnot,
     matrix_from_json,
     matrix_to_json,
+    n_projectors,
     nearest_density_matrix,
     random_density_matrix,
     save_chi,
@@ -23,6 +24,41 @@ from mubqpt import (
     save_probabilities,
     trace_distance,
 )
+from mubqpt.numerics import _require_hermitian
+
+
+class TestHermitianEig:
+    """numerics has no eigendecomposition helper: each caller of numpy's
+    Hermitian eigensolvers checks its input with `_require_hermitian`."""
+
+    def test_rejects_non_hermitian(self):
+        m = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+        with pytest.raises(ValidationError, match=r"operator is not Hermitian: .* 1\.000e\+00 >"):
+            _require_hermitian(m, "operator")
+        # trace_distance eigendecomposes a - b only after this check
+        with pytest.raises(ValidationError, match=r"difference of the two states is not Hermitian"):
+            trace_distance(m, np.zeros((2, 2)))
+
+    def test_rejects_nan(self):
+        m = np.array([[np.nan, 0.0], [0.0, 1.0]], dtype=complex)
+        with pytest.raises(ValidationError, match="nan"):
+            _require_hermitian(m, "operator")
+
+
+class TestPseudoinverse:
+    """The pipeline's one pseudoinverse is the dual frame of the MUB
+    projectors: W+ = dual^dag, checked here against the four Penrose
+    identities."""
+
+    def test_penrose_identities(self, beta_d2, beta_d3, beta_d4, beta_d5):
+        for beta in (beta_d2, beta_d3, beta_d4, beta_d5):
+            w, k = beta.frame, beta.dual.conj().T
+            assert k.shape == (n_projectors(beta.dim), beta.dim**2)
+            assert np.max(np.abs(w @ k @ w - w)) <= 1e-10
+            assert np.max(np.abs(k @ w @ k - k)) <= 1e-10
+            wk, kw = w @ k, k @ w
+            assert np.max(np.abs(wk - wk.conj().T)) <= 1e-10
+            assert np.max(np.abs(kw - kw.conj().T)) <= 1e-10
 
 
 class TestTraceDistance:
