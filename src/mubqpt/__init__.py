@@ -42,7 +42,6 @@ from .mub import (
     MubReport,
     MubSet,
     Projector,
-    common_eigenbasis,
     complexity_totals,
     default_complexity,
     default_factorization,

@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .numerics import (
+    _check_dim,
     as_complex_matrix,
     check_density_matrix,
     frobenius_norm,
@@ -65,15 +66,15 @@ class KrausChannel:
     params: MappingProxyType
 
     def __post_init__(self):
+        d = _check_dim(self.dim)
         ops = tuple(as_complex_matrix(a) for a in self.operators)
         if not ops:
             raise ValidationError("channel needs at least one operator")
         for a in ops:
-            if a.shape != (self.dim, self.dim):
-                raise ValidationError(
-                    f"operator shape {a.shape} does not match dim {self.dim}"
-                )
+            if a.shape != (d, d):
+                raise ValidationError(f"operator shape {a.shape} does not match dim {d}")
             a.flags.writeable = False
+        object.__setattr__(self, "dim", d)
         object.__setattr__(self, "operators", ops)
         object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
 

@@ -14,6 +14,7 @@ import argparse
 import json
 import logging
 import sys
+from pathlib import Path
 
 from .channels import apply_channel, channel_checks, load_kraus, parse_channel_spec
 from .errors import NumericalError, ValidationError
@@ -191,6 +192,9 @@ def cmd_sweep(args) -> None:
     out = _require(args, "out")
     if args.format == "json" and args.aggregates_out is not None:
         raise ValidationError("--aggregates-out is for CSV; JSON output holds the aggregates")
+    for flag, path in (("--out", out), ("--aggregates-out", args.aggregates_out)):
+        if path is not None and not Path(path).parent.is_dir():
+            raise ValidationError(f"cannot write {flag} {path}: its directory does not exist")
     mub_set = generate_mub(args.dim)
     specs = [s for s in args.channels.split(",") if s.strip()]
     if not specs:

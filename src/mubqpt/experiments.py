@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import logging
 import numbers
+import sys
 import time
 from dataclasses import dataclass
 from typing import get_type_hints
@@ -82,10 +83,15 @@ logger = logging.getLogger(__name__)
 _MAX_GRID_POINTS = 10_000
 
 
+def _is_real(x) -> bool:
+    # a real number, bools excluded; the mu rule and the grid bounds share it
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 # NoiseConfig's rule, one predicate per noise parameter
 def _check_mu(mu: float) -> float:
     # a real number, returned as the Python float the results carry
-    if isinstance(mu, bool) or not isinstance(mu, numbers.Real):
+    if not _is_real(mu):
         raise ValidationError(f"error amplitude must be a real number, got {mu!r}")
     if not 0.0 <= mu <= 1.0:  # NaN fails too
         raise ValidationError(f"error amplitude {mu} outside [0, 1]")
@@ -314,9 +320,13 @@ def run_trial(
 
 def default_mu_grid(start: float = 0.01, end: float = 0.15, step: float = 0.01) -> list[float]:
     """Inclusive grid of error amplitudes with rounding-clean values, at
-    most 10 000 points."""
-    if not np.all(np.isfinite([start, end, step])):
-        raise ValidationError(f"grid bounds and step must be finite, got {start}, {end}, {step}")
+    most 10 000 points; the bounds and step must be finite real numbers."""
+    bounds = (start, end, step)
+    if not all(_is_real(x) and abs(x) <= sys.float_info.max for x in bounds):  # NaN fails too
+        raise ValidationError(
+            f"grid bounds and step must be finite, got {start!r}, {end!r}, {step!r}"
+        )
+    start, end, step = map(float, bounds)
     if step <= 0:
         raise ValidationError(f"step must be positive, got {step}")
     if end < start:

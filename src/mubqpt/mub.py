@@ -7,8 +7,11 @@ flat = g*D + (m-1) that fixes the vectorization order used repo-wide.
 
 Odd prime dimensions use the computational basis plus quadratic
 Gauss-sum bases. Two-power dimensions 2, 4 and 8 come from fixed
-partitions of the nontrivial Pauli strings into commuting rows; the
-common eigenbases of the rows form the MUB set.
+partitions of the nontrivial Pauli strings into commuting rows, and the
+joint eigenbases of the rows form the MUB set. Each joint eigenprojector
+is a product of the exact projectors (I + O)/2 and (I - O)/2 of its
+row's strings, so the bases are built in closed form, with no
+eigensolver.
 """
 from __future__ import annotations
 
@@ -18,10 +21,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import ValidationError
 from .numerics import (
-    _require_hermitian,
-    as_complex_matrix,
+    _check_dim,
     json_numbers,
     json_value,
     read_json_object,
@@ -40,7 +42,6 @@ __all__ = [
     "generate_mub_prime",
     "generate_mub_two_power",
     "generate_mub",
-    "common_eigenbasis",
     "verify_mub",
     "projectors",
     "factorizability",
@@ -80,9 +81,8 @@ PAULI_PARTITION: dict[int, tuple[tuple[str, ...], ...]] = {
 }
 
 _MAX_PRIME = 23
-# common_eigenbasis bounds on the commutators, the weighted-eigenvalue gap and
-# the joint-eigenvector residuals; factorizability's bound on 1 - Schmidt max
-_COMMUTE_TOL, _GAP_TOL, _RESIDUAL_TOL, _PRODUCT_TOL = 1e-10, 1e-6, 1e-8, 1e-10
+# factorizability's bound on 1 - the largest Schmidt coefficient
+_PRODUCT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -94,15 +94,14 @@ class MubSet:
     source: str
 
     def __post_init__(self):
-        d = self.dim
-        if d < 2:
-            raise ValidationError(f"dimension {d} is below 2")
+        d = _check_dim(self.dim)
         b = np.asarray(self.bases, dtype=complex)
         if b.shape != (d + 1, d, d):
             raise ValidationError(
                 f"bases array has shape {b.shape}, expected {(d + 1, d, d)}"
             )
         b.flags.writeable = False
+        object.__setattr__(self, "dim", d)
         object.__setattr__(self, "bases", b)
 
     def vectors(self) -> np.ndarray:
@@ -184,6 +183,7 @@ def generate_mub_prime(p: int) -> MubSet:
     For p = 2 that quadratic construction fails, so the set is the
     Pauli-partition one, generate_mub_two_power(1).
     """
+    p = _check_dim(p)
     if not _is_prime(p):
         raise ValidationError(
             f"{p} is not prime; use generate_mub_two_power for D = 2^r "
@@ -206,20 +206,39 @@ def generate_mub_prime(p: int) -> MubSet:
 
 
 def generate_mub_two_power(r: int) -> MubSet:
-    """Maximal MUB set for D = 2^r, r in {1, 2, 3}, from the fixed
-    commuting Pauli-string partition."""
-    if r not in PAULI_PARTITION:
-        raise ValidationError(f"two-power exponent {r} outside supported range 1..3")
+    """Maximal MUB set for D = 2^r, r in {1, 2, 3}: basis g is the joint
+    eigenbasis of row g of the fixed commuting Pauli-string partition.
+
+    Each vector is the largest-diagonal column of its eigenprojector over
+    the square root of that entry, with the first component above 1e-12
+    in modulus made real positive."""
+    if isinstance(r, bool) or not isinstance(r, (int, np.integer)) or r not in PAULI_PARTITION:
+        raise ValidationError(f"two-power exponent {r!r} outside supported range 1..3")
     dim = 2**r
-    rows = []
+    eye = np.eye(dim, dtype=complex)
+    bases = []
     for row in PAULI_PARTITION[r]:
-        ops = [pauli_string(s) for s in row]
-        rows.append(np.array(common_eigenbasis(ops)))
-    return MubSet(dim, np.stack(rows), "pauli-partition")
+        # split I by the exact projectors (I + O)/2, (I - O)/2 of each
+        # string in turn; the D nonzero halves are the rank-1 joint
+        # eigenprojectors, in descending eigenvalue-tuple order
+        halves = [eye]
+        for label in row:
+            plus = (eye + pauli_string(label)) / 2
+            halves = [h @ q for h in halves for q in (plus, eye - plus)]
+            halves = [h for h in halves if h.trace().real >= 0.5]
+        basis = []
+        for h in halves:
+            j = np.argmax(h.diagonal().real)
+            v = h[:, j] / np.sqrt(h[j, j].real)
+            nz = v[np.abs(v) > 1e-12][0]
+            basis.append(v * (nz.conjugate() / abs(nz)))
+        bases.append(basis)
+    return MubSet(dim, np.array(bases), "pauli-partition")
 
 
 def generate_mub(dim: int) -> MubSet:
     """Dispatch on dimension: primes up to 23, or two-powers 4 and 8."""
+    dim = _check_dim(dim)
     if dim in (4, 8):
         return generate_mub_two_power(dim.bit_length() - 1)
     if dim <= _MAX_PRIME and _is_prime(dim):
@@ -228,61 +247,6 @@ def generate_mub(dim: int) -> MubSet:
         f"dimension {dim} is not supported: D must be a prime power, and the "
         f"available constructions cover primes up to {_MAX_PRIME} and D = 4, 8"
     )
-
-
-def common_eigenbasis(ops) -> list[np.ndarray]:
-    """Simultaneous orthonormal eigenbasis of commuting Hermitian matrices.
-
-    Diagonalizes the weighted sum sum_k w_k O_k with w = (1, 3, 9, ...);
-    for +-1 spectra each joint eigenvalue pattern then has its own
-    weighted eigenvalue (balanced ternary), and a gap below 1e-6 raises
-    NumericalError. Vectors are sorted by descending per-operator
-    eigenvalue tuple and phase-normalized so the first nonzero component
-    is real positive.
-    """
-    mats = [as_complex_matrix(op) for op in ops]
-    if not mats:
-        raise ValidationError("need at least one operator")
-    dim = mats[0].shape[0]
-    for m in mats:
-        if m.shape != (dim, dim):
-            raise ValidationError(f"operator shapes differ: {m.shape} vs {(dim, dim)}")
-        _require_hermitian(m, "operator")
-    worst = 0.0
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            comm = mats[i] @ mats[j] - mats[j] @ mats[i]
-            worst = max(worst, float(np.abs(comm).max()))
-    if worst > _COMMUTE_TOL:
-        raise ValidationError(
-            f"operators do not commute: max commutator entry {worst:.3e}"
-        )
-
-    h = sum(wk * m for wk, m in zip(3.0 ** np.arange(len(mats)), mats))
-    evals, evecs = np.linalg.eigh(h)
-    gap = np.diff(evals).min() if dim > 1 else np.inf
-    if not gap > _GAP_TOL:
-        raise NumericalError(f"simultaneous eigenbasis is degenerate: eigenvalue gap {gap:.3e}")
-
-    keyed = []
-    for v in evecs.T:
-        lams = []
-        for m in mats:
-            lam = float(np.real(v.conj() @ m @ v))
-            resid = float(np.linalg.norm(m @ v - lam * v))
-            if resid > _RESIDUAL_TOL:
-                raise NumericalError(
-                    f"joint eigenvector residual {resid:.3e} exceeds {_RESIDUAL_TOL:.1e}"
-                )
-            lams.append(lam)
-        keyed.append((tuple(-round(lam, 9) for lam in lams), v))
-    keyed.sort(key=lambda kv: kv[0])
-
-    out = []
-    for _, v in keyed:
-        nz = np.flatnonzero(np.abs(v) > 1e-12)[0]
-        out.append(v * (v[nz].conjugate() / abs(v[nz])))
-    return out
 
 
 def verify_mub(mub_set: MubSet, tol: float = 1e-10) -> MubReport:
@@ -317,6 +281,7 @@ def projectors(mub_set: MubSet) -> list[Projector]:
 
 def default_factorization(dim: int) -> tuple[int, ...]:
     """Qubit factorization for two-powers, the trivial one otherwise."""
+    dim = _check_dim(dim)
     if dim in (4, 8):
         return (2,) * (dim.bit_length() - 1)
     return (dim,)

@@ -55,6 +55,15 @@ def _require_hermitian(m: np.ndarray, what: str) -> None:
         )
 
 
+def _check_dim(dim) -> int:
+    """dim as a Python int, if it is an integer (a numpy one too, not a bool) >= 2."""
+    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)):
+        raise ValidationError(f"dimension must be an integer, got {dim!r}")
+    if dim < 2:
+        raise ValidationError(f"dimension {dim} is below 2")
+    return int(dim)
+
+
 def frobenius_norm(m) -> float:
     """sqrt(sum of |entry|^2)."""
     return float(np.linalg.norm(np.asarray(m, dtype=complex)))

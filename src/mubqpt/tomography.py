@@ -33,6 +33,7 @@ from .channels import KrausChannel, apply_channel
 from .errors import NumericalError, ValidationError
 from .mub import MubSet, n_projectors
 from .numerics import (
+    _check_dim,
     _require_hermitian,
     as_complex_matrix,
     frobenius_norm,
@@ -84,16 +85,16 @@ class ProbabilityTensor:
     values: np.ndarray
 
     def __post_init__(self):
-        if self.dim < 2:
-            raise ValidationError(f"dimension {self.dim} is below 2")
+        d = _check_dim(self.dim)
         v = np.asarray(self.values, dtype=float)
-        n = n_projectors(self.dim)
+        n = n_projectors(d)
         if v.shape != (n * n,):
             raise ValidationError(
                 f"probability tensor has {v.shape} values, expected ({n * n},)"
             )
         _check_probabilities(v)
         v.flags.writeable = False
+        object.__setattr__(self, "dim", d)
         object.__setattr__(self, "values", v)
 
 
@@ -122,9 +123,9 @@ class BetaMatrix:
     dual: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        d = self.dim
+        d = _check_dim(self.dim)
         w = np.asarray(self.frame, dtype=complex)
-        if d < 2 or w.shape != (d * d, n_projectors(d)):
+        if w.shape != (d * d, n_projectors(d)):
             raise ValidationError(f"frame of shape {w.shape} does not fit dim {d}")
         eye = np.eye(d).ravel()
         defect = float(np.abs(w @ w.conj().T - np.eye(d * d) - np.outer(eye, eye)).max())
@@ -133,6 +134,7 @@ class BetaMatrix:
         dual = w - np.outer(eye, eye @ w) / (d + 1)
         w.flags.writeable = False
         dual.flags.writeable = False
+        object.__setattr__(self, "dim", d)
         object.__setattr__(self, "frame", w)
         object.__setattr__(self, "dual", dual)
 
@@ -167,15 +169,15 @@ class ChiMatrix:
     converged: bool = True
 
     def __post_init__(self):
-        if self.dim < 2:
-            raise ValidationError(f"dimension {self.dim} is below 2")
+        d = _check_dim(self.dim)
         m = as_complex_matrix(self.matrix)
-        n = n_projectors(self.dim)
+        n = n_projectors(d)
         if m.shape != (n, n):
             raise ValidationError(f"chi has shape {m.shape}, expected {(n, n)}")
         _require_hermitian(m, "process matrix")
         m = 0.5 * (m + m.conj().T)
         m.flags.writeable = False
+        object.__setattr__(self, "dim", d)
         object.__setattr__(self, "matrix", m)
 
 

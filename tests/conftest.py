@@ -6,8 +6,8 @@ identity is checked once per `BetaMatrix`, when it is constructed.
 Tests must not mutate them; the basis arrays and the transfer matrix's
 projector frame and dual frame are flagged read-only at construction,
 which enforces that. The dense `matrix` and
-`pinv` of a transfer matrix are rebuilt on every read (`pinv` is an SVD
-of up to 900x900 at D=5).
+`pinv` of a transfer matrix are rebuilt on every read (`pinv` solves the
+n^2 unit tables through the dual frame, 900 of them at D=5).
 
 Property tests draw their examples deterministically and keep no
 example database, so every run of the suite tests the same inputs.

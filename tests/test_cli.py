@@ -323,6 +323,8 @@ class TestSweepCommand:
         ([], "--out"),
         (["--format", "json", "--out", "rows.json", "--aggregates-out", "agg.json"],
          "--aggregates-out"),
+        (["--out", "missing/rows.csv"], "--out"),
+        (["--out", "rows.csv", "--aggregates-out", "missing/agg.csv"], "--aggregates-out"),
     ])
     def test_outputs_checked_before_sweep(self, capsys, tmp_path, monkeypatch, argv, message):
         monkeypatch.setattr("mubqpt.cli.run_sweep", _no_sweep)

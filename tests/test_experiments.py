@@ -349,6 +349,7 @@ class TestTrials:
     @pytest.mark.parametrize("bounds", [
         (float("nan"), 0.15, 0.01), (0.01, float("nan"), 0.01), (0.01, 0.15, float("nan")),
         (0.01, float("inf"), 0.01), (float("-inf"), 0.15, 0.01), (0.01, 0.15, float("inf")),
+        ("0.1", 0.2, 0.1), (None, 0.2, 0.1), (0.01, 1j, 0.01), (0.01, 0.15, True),
     ])
     def test_grid_rejects_non_finite_values(self, bounds):
         with pytest.raises(ValidationError, match="finite"):

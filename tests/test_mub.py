@@ -6,9 +6,7 @@ import pytest
 from mubqpt import (
     ComplexityModel,
     MubSet,
-    NumericalError,
     ValidationError,
-    common_eigenbasis,
     complexity_totals,
     default_complexity,
     default_factorization,
@@ -122,6 +120,12 @@ class TestTwoPowerConstruction:
         with pytest.raises(ValidationError):
             generate_mub_two_power(4)
 
+    def test_exponent_is_an_integer(self):
+        for r in (True, 1.0, 2.0, "2"):
+            with pytest.raises(ValidationError, match="exponent"):
+                generate_mub_two_power(r)
+        assert generate_mub_two_power(np.int64(2)).dim == 4
+
 
 class TestDispatcher:
     @pytest.mark.parametrize("dim", [2, 3, 4, 5, 7, 8])
@@ -146,38 +150,59 @@ class TestDispatcher:
             generate_mub(9)
 
 
+def oracle_eigenbasis(row) -> np.ndarray:
+    """The numerical joint eigenbasis of a Pauli row: eigh of sum_k 3^k O_k
+    (a distinct weighted eigenvalue per +-1 pattern), vectors sorted by
+    descending eigenvalue tuple, first component above 1e-12 made real
+    positive."""
+    ops = [pauli_string(label) for label in row]
+    _, vecs = np.linalg.eigh(sum(3.0**k * op for k, op in enumerate(ops)))
+    keyed = sorted(vecs.T, key=lambda v: [-round(np.real(v.conj() @ op @ v), 9) for op in ops])
+    out = []
+    for v in keyed:
+        nz = v[np.abs(v) > 1e-12][0]
+        out.append(v * (nz.conjugate() / abs(nz)))
+    return np.array(out)
+
+
 class TestCommonEigenbasis:
-    def test_single_sigma_z(self):
-        vecs = common_eigenbasis([pauli_string("Z")])
-        assert np.allclose(vecs[0], [1, 0]) and np.allclose(vecs[1], [0, 1])
+    """The common eigenbases of the Pauli-partition rows, built from the
+    rows' eigenprojectors."""
 
-    def test_diagonal_row_gives_computational_order(self):
-        ops = [pauli_string(lbl) for lbl in PAULI_PARTITION[2][0]]
-        vecs = common_eigenbasis(ops)
-        assert np.max(np.abs(np.array(vecs) - np.eye(4))) <= 1e-12
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_matches_numerical_oracle(self, r):
+        s = generate_mub_two_power(r)
+        for gamma, row in enumerate(PAULI_PARTITION[r]):
+            assert np.max(np.abs(s.bases[gamma] - oracle_eigenbasis(row))) <= 1e-14, gamma
 
-    def test_entangled_row_has_maximally_mixed_marginals(self):
-        ops = [pauli_string(lbl) for lbl in PAULI_PARTITION[2][3]]
-        for v in common_eigenbasis(ops):
+    def test_single_sigma_z(self, set_d2):
+        assert np.array_equal(set_d2.bases[0], np.eye(2))
+
+    def test_diagonal_row_gives_computational_order(self, set_d4):
+        # the diagonal row's projectors are exact, so basis 0 is I to the bit
+        assert np.array_equal(set_d4.bases[0], np.eye(4))
+
+    def test_entangled_row_has_maximally_mixed_marginals(self, set_d4):
+        for v in set_d4.bases[3]:
             rho = np.outer(v, v.conj()).reshape(2, 2, 2, 2)
             left = np.trace(rho, axis1=1, axis2=3)
             right = np.trace(rho, axis1=0, axis2=2)
             assert np.max(np.abs(left - np.eye(2) / 2)) <= 1e-10
             assert np.max(np.abs(right - np.eye(2) / 2)) <= 1e-10
 
-    def test_phase_convention(self):
-        for v in common_eigenbasis([pauli_string("X"), ]):
-            nz = v[np.abs(v) > 1e-12][0]
-            assert abs(nz.imag) <= 1e-12 and nz.real > 0
+    def test_phase_convention(self, set_d2, set_d4):
+        for s in (set_d2, set_d4, generate_mub(8)):
+            for v in s.vectors():
+                nz = v[np.abs(v) > 1e-12][0]
+                assert abs(nz.imag) <= 1e-12 and nz.real > 0
 
-    def test_rejects_non_commuting(self):
-        with pytest.raises(ValidationError) as exc:
-            common_eigenbasis([pauli_string("Z"), pauli_string("X")])
-        assert "commut" in str(exc.value)
-
-    def test_rejects_unresolvable_degeneracy(self):
-        with pytest.raises(NumericalError):
-            common_eigenbasis([np.eye(2), np.eye(2)])
+    def test_d4_and_d8_are_exact(self, set_d4):
+        for s in (set_d4, generate_mub(8)):
+            report = verify_mub(s)
+            assert report.max_orthonormality_violation <= 1e-15, s.dim
+            assert report.max_unbiasedness_violation <= 1e-15, s.dim
+        w, eye = set_d4.frame, np.eye(4).ravel()
+        assert np.max(np.abs(w @ w.conj().T - np.eye(16) - np.outer(eye, eye))) <= 1e-15
 
 
 class TestVerification:

@@ -4,14 +4,23 @@ import numpy as np
 import pytest
 
 from mubqpt import (
+    BetaMatrix,
     ChiMatrix,
+    KrausChannel,
+    MubSet,
     NumericalError,
     ProbabilityTensor,
     ValidationError,
     check_density_matrix,
+    default_factorization,
     frobenius_norm,
     generate_mub,
+    generate_mub_prime,
     hermiticity_defect,
+    load_chi,
+    load_kraus,
+    load_mub,
+    load_probabilities,
     make_cnot,
     matrix_from_json,
     matrix_to_json,
@@ -180,3 +189,35 @@ class TestMatrixJson:
     def test_savers_reject_missing_directory(self, saver, make, tmp_path):
         with pytest.raises(ValidationError, match="cannot write"):
             saver(make(), tmp_path / "missing" / "out.json")
+
+
+# each entry point that takes a dimension: how to build with dim d, and the
+# saver and loader of what it builds, if it has them
+DIM_ENTRY_POINTS = {
+    "MubSet": (lambda d: MubSet(d, generate_mub(2).bases, "test"), save_mub, load_mub),
+    "BetaMatrix": (lambda d: BetaMatrix(d, generate_mub(2).frame), None, None),
+    "ProbabilityTensor": (lambda d: ProbabilityTensor(d, np.full(36, 0.5)),
+                          save_probabilities, load_probabilities),
+    "ChiMatrix": (lambda d: ChiMatrix(d, np.eye(6)), save_chi, load_chi),
+    "KrausChannel": (lambda d: KrausChannel(d, (np.eye(2),), "identity", {}),
+                     save_kraus, load_kraus),
+    "generate_mub": (generate_mub, save_mub, load_mub),
+    "generate_mub_prime": (generate_mub_prime, save_mub, load_mub),
+    "default_factorization": (default_factorization, None, None),
+}
+
+
+@pytest.mark.parametrize("entry", DIM_ENTRY_POINTS)
+def test_one_dimension_rule(entry, tmp_path):
+    make, save, load = DIM_ENTRY_POINTS[entry]
+    for bad in (2.0, True, "2", 1, np.int64(1)):
+        with pytest.raises(ValidationError, match="dimension"):
+            make(bad)
+    made = make(np.int64(2))
+    if entry == "default_factorization":
+        assert made == (2,) and type(made[0]) is int
+        return
+    assert type(made.dim) is int and made.dim == 2
+    if save is not None:
+        save(made, tmp_path / "out.json")
+        assert load(tmp_path / "out.json").dim == 2
