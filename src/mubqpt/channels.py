@@ -54,6 +54,8 @@ _SHORT_NAMES = {v: k for k, v in CHANNEL_ALIASES.items()}
 
 _CHECK_TOL = 1e-10  # channel_checks' bound on each residual norm
 _COMPLETE_TOL = 1e-10  # load_kraus's bound on the largest eigenvalue of sum A^dag A - I
+_YY = pauli_string("YY")  # sigma_y (x) sigma_y of concurrence, built once
+_YY.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -184,8 +186,7 @@ def concurrence(rho) -> float:
     if r.shape != (4, 4):
         raise ValidationError(f"concurrence needs a 4x4 state, got {r.shape}")
     r = check_density_matrix(r, dim=4, tol=1e-8)
-    yy = pauli_string("YY")
-    m = r @ yy @ r.conj() @ yy
+    m = r @ _YY @ r.conj() @ _YY
     # spectrum of r * r~ is real non-negative; clip rounding dust
     lam = np.sqrt(np.clip(np.linalg.eigvals(m).real, 0.0, None))
     lam[::-1].sort()

@@ -11,17 +11,21 @@ sweep is reproducible bit for bit.
 
 Trial t of channel c at noise level m draws from the Philox stream of
 SeedSequence(base_seed, spawn_key=(c, m, t)), the stream trial_rng
-returns. A sweep computes the Philox keys of each noise level's streams
-in one array pass (_stream_keys runs numpy's SeedSequence mixing, after
-O'Neill's randutils seed_seq_fe, with the index words as uint64 arrays)
-and draws each trial's noise by resetting one reused Philox to the
-trial's key. numpy keeps that mixing stable (NEP 19); a test pins the
-keys to SeedSequence's, so a numpy that changed it would fail loudly.
-The trials of one point run in blocks of 16: the noise is drawn into one
-array and range-checked once, the tables are solved by stacked
-dual-frame products and the fidelities are scored by one stacked
-product. Each per-trial function is the one-trial case of its block
-kernel, so rows do not depend on the block size.
+returns. A sweep computes the Philox keys of the streams of consecutive
+noise levels, up to 2**16 keys, in one array pass (_stream_keys runs
+numpy's SeedSequence mixing, after O'Neill's randutils seed_seq_fe, with
+the index words as uint64 arrays) and draws each trial's noise by
+resetting one reused Philox to the trial's key. numpy keeps that mixing
+stable (NEP 19); a test pins the keys to SeedSequence's, so a numpy that
+changed it would fail loudly. The trials of one point run in blocks of
+16: the noise is drawn into one array and range-checked once, the
+tables are solved by stacked dual-frame products and the fidelities are
+scored by one stacked product. A refined sweep projects block b of
+every channel at one noise level as one stack of Choi matrices, each
+trial running and stopping on its own. Each per-trial function
+(perturb_probabilities, solve_chi, refine_physical, process_fidelity) is
+the one-trial case of its block kernel, so rows do not depend on the
+block size.
 """
 from __future__ import annotations
 
@@ -50,6 +54,7 @@ from .tomography import (
     ProbabilityTensor,
     _check_probabilities,
     _fidelities,
+    _refine_stack,
     _solve_tables,
     apply_chi,
     build_beta,
@@ -379,6 +384,38 @@ def _trial_estimates(exact, mu, beta, keys, fill):
         yield tables, 0.5 * (m + m.conj().swapaxes(-1, -2))
 
 
+# stream keys per _stream_keys call: whole noise levels, at least one; ~1 MiB of keys
+_KEY_CHUNK = 2**16
+
+
+def _level_keys(base_seed: int, levels: int, channels: int, trials: int):
+    """The (channels, trials, 2) Philox keys of each noise level in turn,
+    computed for as many consecutive levels per _stream_keys call as fit
+    in _KEY_CHUNK keys (one level when a level alone holds more)."""
+    step = max(1, _KEY_CHUNK // (channels * trials))
+    for first in range(0, levels, step):
+        yield from _stream_keys(base_seed, np.arange(channels)[:, None],
+                                np.arange(first, min(first + step, levels))[:, None, None],
+                                np.arange(trials))
+
+
+def _refined_fidelities(beta, streams, refs):
+    """The refined fidelities of one noise level, one array per channel:
+    block b of every channel's _trial_estimates stream is refined as one
+    stack and scored against that channel's reference. Also returns the
+    projection's converged mask and rounds over all the level's trials."""
+    fids = [[] for _ in refs]
+    converged, rounds = [], []
+    for blocks in zip(*streams):
+        refined, c, n = _refine_stack(beta, np.concatenate([h for _, h in blocks]))
+        # every channel's block b has one size
+        for f, ref, h in zip(fids, refs, np.split(refined, len(blocks))):
+            f.append(_fidelities(ref, h))
+        converged.append(c)
+        rounds.append(n)
+    return [np.concatenate(f) for f in fids], np.concatenate(converged), np.concatenate(rounds)
+
+
 def run_sweep(
     channels,
     mub_set: MubSet,
@@ -393,16 +430,20 @@ def run_sweep(
     Rows are ordered by (mu, channel, trial) and every trial draws from
     its own stream keyed by (base_seed, channel index, mu index, trial
     index), the trial_rng stream, so identical inputs give identical
-    results. The Philox keys of each noise level's streams are computed
-    in one array pass, just before that level runs, with numpy's
+    results. The Philox keys are computed in array passes over
+    consecutive noise levels, up to 2**16 keys each, with numpy's
     SeedSequence algorithm, which a test pins to SeedSequence itself, and
     each trial's noise is drawn by resetting one reused Philox to its
     key. The trials of one (mu, channel) point are drawn, range-checked,
-    solved and scored in blocks of 16 as stacked arrays (refinement runs
-    per trial); each row equals the `run_trial` fidelity of its stream,
-    so rows do not depend on the block size.
+    solved and scored in blocks of 16 as stacked arrays. With refine,
+    block b of every channel at one noise level is projected onto the
+    CPTP maps as one stack, in which each trial runs and stops on its
+    own. Each row equals the `run_trial` fidelity of its stream, so rows
+    do not depend on the block size.
     Rows and aggregates carry mu as a Python float. Each finished noise
-    level is logged at INFO with its trials per second.
+    level is logged at INFO with its trials per second and, with refine,
+    the mean and largest projection rounds of its trials and how many of
+    them hit the round cap.
     """
     channels = list(channels)
     if not channels:
@@ -410,38 +451,35 @@ def run_sweep(
     mus, trials = _noise_grid(mu_grid, base_seed, trials)
     if beta is None:
         beta = build_beta(mub_set)
-    d = beta.dim
-    prepared = []
-    for ch in channels:
-        exact = process_probabilities(ch, mub_set)
-        prepared.append((ch, exact, solve_chi(beta, exact)))
+    tables = [process_probabilities(ch, mub_set) for ch in channels]
+    refs = [solve_chi(beta, exact).matrix for exact in tables]
     fill = _stream_filler()
 
     rows = []
     aggregates = []
-    for mu_idx, mu in enumerate(mus):
+    for mu, keys in zip(mus, _level_keys(base_seed, len(mus), len(channels), trials)):
         start = time.perf_counter()
-        keys = _stream_keys(base_seed, np.arange(len(prepared))[:, None], mu_idx,
-                            np.arange(trials))
-        for ch_idx, (ch, exact, chi_ref) in enumerate(prepared):
-            fids = []
-            blocks = _trial_estimates(exact, mu, beta, keys[ch_idx], fill)
-            for tables, chis in blocks:
-                if refine:
-                    chis = np.stack([
-                        refine_physical(ChiMatrix(d, h), ProbabilityTensor(d, p), beta,
-                                        mub_set).matrix
-                        for p, h in zip(tables, chis)
-                    ])
-                fids.append(_fidelities(chi_ref.matrix, chis))
-            arr = np.concatenate(fids)
-            rows.extend(SweepRow(mu, ch.name, t, f, refine) for t, f in enumerate(arr.tolist()))
+        streams = [_trial_estimates(exact, mu, beta, ch_keys, fill)
+                   for exact, ch_keys in zip(tables, keys)]
+        if refine:
+            fids, converged, rounds = _refined_fidelities(beta, streams, refs)
+        else:  # one channel's blocks at a time
+            fids = [np.concatenate([_fidelities(ref, h) for _, h in stream])
+                    for stream, ref in zip(streams, refs)]
+        for ch, arr in zip(channels, fids):
+            rows.extend(SweepRow(mu, ch.name, t, x, refine) for t, x in enumerate(arr.tolist()))
             aggregates.append(
                 SweepAggregate(mu, ch.name, float(arr.mean()), float(arr.std()), trials)
             )
-        rate = len(prepared) * trials / (time.perf_counter() - start)
-        logger.info("noise level %g done (%d channels x %d trials, %.0f trials/s)",
-                    mu, len(prepared), trials, rate)
+        rate = len(channels) * trials / (time.perf_counter() - start)
+        if refine:
+            logger.info("noise level %g done (%d channels x %d trials, %.0f trials/s; "
+                        "projection rounds mean %.1f, max %d, %d at the round cap)",
+                        mu, len(channels), trials, rate, rounds.mean(), rounds.max(),
+                        np.count_nonzero(~converged))
+        else:
+            logger.info("noise level %g done (%d channels x %d trials, %.0f trials/s)",
+                        mu, len(channels), trials, rate)
     return SweepResult(tuple(rows), tuple(aggregates))
 
 
@@ -469,11 +507,10 @@ def concurrence_trace(
     exact = process_probabilities(ch, mub_set)
     fill = _stream_filler()
     points = []
-    for mu_idx, mu in enumerate(mus):
-        keys = _stream_keys(base_seed, 0, mu_idx, np.arange(trials))
+    for mu, keys in zip(mus, _level_keys(base_seed, len(mus), 1, trials)):
         vals = [
             concurrence(nearest_density_matrix(apply_chi(ChiMatrix(beta.dim, h), rho, mub_set)))
-            for _, chis in _trial_estimates(exact, mu, beta, keys, fill)
+            for _, chis in _trial_estimates(exact, mu, beta, keys[0], fill)
             for h in chis
         ]
         points.append(ConcurrencePoint(mu, float(np.mean(vals))))

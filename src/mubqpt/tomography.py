@@ -335,53 +335,100 @@ def refinement_objective(
     return f, coeff.real * lower, -coeff.imag * strict
 
 
+def _norms(stack: np.ndarray) -> np.ndarray:
+    """Frobenius norms of a (k, m, m) stack, each frobenius_norm of its
+    matrix bit for bit: the same real dot products of the real and
+    imaginary parts that np.linalg.norm takes, one per matrix, as the
+    row-by-column products of a stacked matmul."""
+    rows = stack.reshape(len(stack), 1, -1)
+    re, im = rows.real, rows.imag
+    return np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[:, 0, 0]
+
+
+def _project_cptp(x: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Dykstra alternation on each Choi matrix J of a (k, D^2, D^2) stack
+    between the trace-preserving affine set Tr_out J = I and the positive
+    cone (eigenvalue clip), always ending on the clip. Trial i stops once
+    a round moves it by at most 1e-12 |J_i|, or at the round cap, and is
+    frozen from then on, so its bits do not depend on the rest of the
+    stack. Returns the projected stack, the per-trial converged mask and
+    the rounds each trial ran; one warning counts the trials that hit
+    the cap."""
+    k = len(x)
+    out = np.empty_like(x)
+    converged = np.zeros(k, dtype=bool)
+    rounds = np.full(k, _MAX_ROUNDS)
+    active = np.arange(k)
+    tol = 1e-12 * _norms(x)
+    diag = np.arange(d)
+    eye = np.eye(d)
+    q = np.zeros_like(x)  # Dykstra correction of the cone; the affine one vanishes
+    for n in range(1, _MAX_ROUNDS + 1):
+        x5 = x.reshape(-1, d, d, d, d)
+        y = x.copy()
+        # subtract (Tr_1 J - I)/D from each diagonal block, a (D, k, D, D) view
+        y.reshape(x5.shape)[:, diag, :, diag, :] -= (np.einsum("kijil->kjl", x5) - eye) / d
+        lam, u = np.linalg.eigh(y + q)
+        x_new = (u * np.clip(lam, 0.0, None)[..., None, :]) @ u.conj().swapaxes(-1, -2)
+        q = y + q - x_new
+        done = _norms(x_new - x) <= tol
+        x = x_new
+        if done.any():
+            idx = active[done]
+            out[idx], converged[idx], rounds[idx] = x[done], True, n
+            left = ~done
+            active, x, q, tol = active[left], x[left], q[left], tol[left]
+            if not active.size:
+                break
+    else:
+        out[active] = x
+        logger.warning("refinement of %d of %d trials stopped at the %d-round cap",
+                       active.size, k, _MAX_ROUNDS)
+    return out, converged, rounds
+
+
+def _refine_stack(beta: BetaMatrix, chis: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The physical estimates of a (k, n, n) stack of Hermitian process
+    matrices: J = W chi W^dag, projected onto the CPTP maps by
+    _project_cptp, mapped back by W+ J W+^dag and made Hermitian. Returns
+    them with the converged mask and rounds of the projection."""
+    w, dual = beta.frame, beta.dual
+    x, converged, rounds = _project_cptp(_choi(w, chis), beta.dim)
+    m = dual.conj().T @ x @ dual
+    return 0.5 * (m + m.conj().swapaxes(-1, -2)), converged, rounds
+
+
 def refine_physical(
     chi_raw: ChiMatrix, p: ProbabilityTensor, beta: BetaMatrix, mub_set: MubSet
 ) -> ChiMatrix:
     """Nearest CPTP map to chi_raw in the Frobenius norm of the Choi matrix.
 
-    Dykstra alternation on J = W chi W^dag between the trace-preserving
-    affine set Tr_out J = I and the positive cone (eigenvalue clip),
-    always ending on the clip. It stops once a round moves J by at most
-    1e-12 |J|, or at the round cap with converged=False. Mapped back by
-    chi = W+ J W+^dag, the result is positive semidefinite and the
-    minimum-norm process matrix of that map, as `solve_chi` gives. The
-    worst |Tr E(P_b) - 1| and the residual |beta chi - p| against the
-    measured table p are recorded, chi_raw's asymmetry is kept. W and W+
-    come from beta.
+    The one-trial case of the stacked projection a refined sweep runs per
+    noise level: Dykstra alternation on J = W chi W^dag between the
+    trace-preserving affine set Tr_out J = I and the positive cone
+    (eigenvalue clip), always ending on the clip. It stops once a round
+    moves J by at most 1e-12 |J|, or at the round cap with
+    converged=False. Mapped back by chi = W+ J W+^dag, the result is
+    positive semidefinite and the minimum-norm process matrix of that
+    map, as `solve_chi` gives. The worst |Tr E(P_b) - 1| and the residual
+    |beta chi - p| against the measured table p are recorded, chi_raw's
+    asymmetry is kept. W and W+ come from beta; chi_raw, p and beta must
+    all have the dimension of mub_set.
     """
     d = mub_set.dim
     if chi_raw.dim != d:
         raise ValidationError(f"dim mismatch: chi {chi_raw.dim}, basis {d}")
+    if p.dim != d:
+        raise ValidationError(f"dim mismatch: p {p.dim}, basis {d}")
     if beta.dim != d:
         raise ValidationError(f"dim mismatch: beta {beta.dim}, basis {d}")
-    w, dual = beta.frame, beta.dual
-
-    x = _choi(w, chi_raw.matrix)
-    tol = 1e-12 * frobenius_norm(x)
-    eye = np.eye(d)
-    q = np.zeros_like(x)  # Dykstra correction of the cone; the affine one vanishes
-    converged = False
-    for _ in range(_MAX_ROUNDS):
-        y = x - np.kron(eye, np.einsum("ijil->jl", x.reshape(d, d, d, d)) - eye) / d
-        lam, u = np.linalg.eigh(y + q)
-        x_new = (u * np.clip(lam, 0.0, None)) @ u.conj().T
-        q = y + q - x_new
-        step = frobenius_norm(x_new - x)
-        x = x_new
-        if step <= tol:
-            converged = True
-            break
-    else:
-        logger.warning("refinement stopped at the %d-round cap", _MAX_ROUNDS)
-
-    m = dual.conj().T @ x @ dual
-    h = 0.5 * (m + m.conj().T)
-    table = _forward(w, h, d)  # row b sums Tr(P_s E(P_b)) over each basis
+    h, converged, _ = _refine_stack(beta, chi_raw.matrix[None])
+    h = h[0]
+    table = _forward(beta.frame, h, d)  # row b sums Tr(P_s E(P_b)) over each basis
     resid = float(np.linalg.norm(table.ravel() - p.values))
     tp = float(np.abs(table[:, :d].sum(axis=1) - 1.0).max())
     return ChiMatrix(d, h, physical=True, asymmetry=chi_raw.asymmetry, forward_residual=resid,
-                     tp_max_violation=tp, converged=converged)
+                     tp_max_violation=tp, converged=bool(converged[0]))
 
 
 def _fidelities(ref: np.ndarray, stack: np.ndarray) -> np.ndarray:

@@ -14,6 +14,7 @@ from mubqpt import (
     save_kraus,
     tensor_lift,
 )
+from mubqpt import channels
 from mubqpt.paulis import pauli_string
 
 BELL = np.zeros((4, 4), dtype=complex)
@@ -189,6 +190,10 @@ class TestConcurrence:
     def test_rejects_wrong_dimension(self):
         with pytest.raises(ValidationError):
             concurrence(np.eye(2) / 2)
+
+    def test_spin_flip_is_a_read_only_constant(self):
+        assert np.array_equal(channels._YY, pauli_string("YY"))
+        assert not channels._YY.flags.writeable
 
 
 class TestSpecParsing:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from mubqpt import (
     NoiseConfig,
     ProbabilityTensor,
+    SweepRow,
     ValidationError,
     apply_chi,
     concurrence,
@@ -29,7 +30,7 @@ from mubqpt import (
     solve_chi,
     trial_rng,
 )
-from mubqpt import experiments
+from mubqpt import experiments, tomography
 from mubqpt.experiments import _perturb_tables, _stream_filler, _stream_keys
 from mubqpt.tomography import _check_probabilities, _fidelities
 from test_cli import run_cli
@@ -214,23 +215,36 @@ class TestStreamKeys:
             one = perturb_probabilities(exact, 0.05, trial_rng(5, 2, 1, t))
             assert np.array_equal(row, one.values)
 
-    def test_sweeps_key_one_level_at_a_time(self, set_d4, beta_d4, monkeypatch):
-        # the keys held at once are those of one noise level, whatever the grid
+    def test_sweeps_key_a_chunk_of_levels_at_a_time(self, set_d4, beta_d4, monkeypatch):
+        # whole consecutive levels per _stream_keys call, as many as fit in
+        # _KEY_CHUNK keys, with each level's keys those of a per-level call
         calls = []
 
         def record(seed, ch, level, trial):
             keys = _stream_keys(seed, ch, level, trial)
-            calls.append((level, keys.shape))
+            calls.append((np.ravel(level).tolist(), keys.shape))
+            for m, level_keys in zip(np.ravel(level), keys):
+                assert np.array_equal(level_keys, _stream_keys(seed, ch, m, trial))
             return keys
 
-        monkeypatch.setattr(experiments, "_stream_keys", record)
         chans = [parse_channel_spec("dep:0.2", 4), make_cnot()]
-        run_sweep(chans, set_d4, mu_grid=[0.0, 0.02, 0.05], trials=3, beta=beta_d4)
-        assert calls == [(m, (2, 3, 2)) for m in range(3)]
+        grid = [0.0, 0.02, 0.05, 0.08, 0.1]
+        expected = run_sweep(chans, set_d4, mu_grid=grid, trials=3, beta=beta_d4)
+        monkeypatch.setattr(experiments, "_stream_keys", record)
+        run_sweep(chans, set_d4, mu_grid=grid, trials=3, beta=beta_d4)
+        assert calls == [(list(range(5)), (5, 2, 3, 2))]
         calls.clear()
-        concurrence_trace(RHO_BELL, make_cnot(), set_d4, mu_grid=[0.0, 0.05], trials=3,
-                          beta=beta_d4)
-        assert calls == [(m, (3, 2)) for m in range(2)]
+        monkeypatch.setattr(experiments, "_KEY_CHUNK", 13)  # two levels of 6 keys
+        assert run_sweep(chans, set_d4, mu_grid=grid, trials=3, beta=beta_d4) == expected
+        assert calls == [([0, 1], (2, 2, 3, 2)), ([2, 3], (2, 2, 3, 2)), ([4], (1, 2, 3, 2))]
+        calls.clear()
+        monkeypatch.setattr(experiments, "_KEY_CHUNK", 5)  # a level alone is more
+        expected = concurrence_trace(RHO_BELL, make_cnot(), set_d4, mu_grid=[0.0, 0.05],
+                                     trials=3, beta=beta_d4)
+        assert calls == [([0], (1, 1, 3, 2)), ([1], (1, 1, 3, 2))]
+        monkeypatch.undo()
+        assert concurrence_trace(RHO_BELL, make_cnot(), set_d4, mu_grid=[0.0, 0.05],
+                                 trials=3, beta=beta_d4) == expected
 
 
 class TestPerturbation:
@@ -445,6 +459,48 @@ class TestSweep:
             assert line.startswith(f"noise level {mu} done (1 channels x 3 trials, ")
             assert line.endswith(" trials/s)")
             assert float(line.split(", ")[1].split()[0]) > 0
+
+    def test_refined_rows_equal_run_trial(self, set_d4, beta_d4):
+        # three channels' blocks refined as one stack per level, across the
+        # stack boundary at 16 trials
+        chans = default_channel_suite()
+        grid = [0.05, 0.1]
+        res = run_sweep(chans, set_d4, mu_grid=grid, trials=20, base_seed=6, refine=True,
+                        beta=beta_d4)
+        rows = iter(res.rows)
+        for mi, mu in enumerate(grid):
+            for ci, ch in enumerate(chans):
+                exact = process_probabilities(ch, set_d4)
+                chi_ref = solve_chi(beta_d4, exact)
+                for t in range(20):
+                    want = run_trial(ch, set_d4, beta_d4, mu, trial_rng(6, ci, mi, t), True,
+                                     exact=exact, chi_ref=chi_ref)
+                    assert next(rows) == SweepRow(mu, ch.name, t, want.fidelity, True)
+
+    def test_refined_levels_log_projection_rounds(self, set_d4, beta_d4, monkeypatch, caplog):
+        chans = [parse_channel_spec("ad:0.4", 4), make_cnot()]
+        calls = []
+        refine_stack = experiments._refine_stack
+
+        def record(beta, chis):
+            out = refine_stack(beta, chis)
+            calls.append(out[1:])
+            return out
+
+        monkeypatch.setattr(experiments, "_refine_stack", record)
+        monkeypatch.setattr(tomography, "_MAX_ROUNDS", 25)
+        with caplog.at_level(logging.INFO, logger="mubqpt.experiments"):
+            run_sweep(chans, set_d4, mu_grid=[0.05, 0.15], trials=5, base_seed=2, refine=True,
+                      beta=beta_d4)
+        lines = [r.getMessage() for r in caplog.records if r.name == "mubqpt.experiments"]
+        assert len(lines) == len(calls) == 2
+        for mu, line, (converged, rounds) in zip(("0.05", "0.15"), lines, calls):
+            assert len(rounds) == 10
+            assert line.startswith(f"noise level {mu} done (2 channels x 5 trials, ")
+            assert line.endswith(f" trials/s; projection rounds mean {rounds.mean():.1f}, "
+                                 f"max {rounds.max()}, {np.count_nonzero(~converged)} "
+                                 "at the round cap)")
+        assert any(np.count_nonzero(~converged) for converged, _ in calls)
 
     def test_rejects_empty_inputs(self, set_d2, beta_d2):
         with pytest.raises(ValidationError):

@@ -17,6 +17,7 @@ from mubqpt import (
     constraint_tensor,
     extract_kraus,
     flat_index,
+    frobenius_norm,
     generate_mub,
     load_chi,
     load_probabilities,
@@ -301,18 +302,13 @@ class TestFrameSolve:
             assert trace_distance(apply_chi(chi, rho, mub_set), apply_channel(ch, rho)) <= 1e-8
 
 
-def refine_formula(raw, beta):
-    """The matrix refine_physical gives, by the formulas it used before
-    ChiMatrix owned Hermiticity: its input and its output symmetrized
-    in place."""
-    d = beta.dim
-    w, dual = beta.frame, beta.dual
-    t = raw.matrix
-    x = w @ (0.5 * (t + t.conj().T)) @ w.conj().T
+def kron_dykstra(x, d, max_rounds=1000):
+    """The per-trial Dykstra loop the stacked projection replaced, with
+    its np.kron trace-preserving step: (projected J, converged)."""
     tol = 1e-12 * np.linalg.norm(x)
     eye = np.eye(d)
     q = np.zeros_like(x)
-    for _ in range(1000):
+    for _ in range(max_rounds):
         y = x - np.kron(eye, np.einsum("ijil->jl", x.reshape(d, d, d, d)) - eye) / d
         lam, u = np.linalg.eigh(y + q)
         x_new = (u * np.clip(lam, 0.0, None)) @ u.conj().T
@@ -320,9 +316,70 @@ def refine_formula(raw, beta):
         step = np.linalg.norm(x_new - x)
         x = x_new
         if step <= tol:
-            break
+            return x, True
+    return x, False
+
+
+def refine_formula(raw, beta):
+    """The matrix refine_physical gives, by the formulas it used before
+    ChiMatrix owned Hermiticity: its input and its output symmetrized
+    in place."""
+    w, dual = beta.frame, beta.dual
+    t = raw.matrix
+    x, _ = kron_dykstra(w @ (0.5 * (t + t.conj().T)) @ w.conj().T, beta.dim)
     chi = dual.conj().T @ x @ dual
     return 0.5 * (chi + chi.conj().T)
+
+
+def raw_choi_stack(request, dim, rank, mu, k=16):
+    """The Choi matrices of k raw estimates of a seeded Stinespring
+    channel of Kraus rank `rank` under noise mu."""
+    mub_set = request.getfixturevalue(f"set_d{dim}")
+    beta = request.getfixturevalue(f"beta_d{dim}")
+    ch = random_stinespring_channel(dim, rank, np.random.default_rng(500 + 10 * dim + rank))
+    exact = process_probabilities(ch, mub_set)
+    chis = [solve_chi(beta, perturb_probabilities(exact, mu, trial_rng(13, dim, rank, t))).matrix
+            for t in range(k)]
+    return beta.frame @ np.stack(chis) @ beta.frame.conj().T
+
+
+class TestStackedProjection:
+    """The stacked Dykstra kernel against the per-trial np.kron loop."""
+
+    @pytest.mark.parametrize("mu", [0.05, 0.15])
+    @pytest.mark.parametrize("dim,rank", [(d, r) for d in (2, 3, 4, 5) for r in (d, d * d)])
+    def test_equals_per_trial_loop(self, request, dim, rank, mu):
+        js = raw_choi_stack(request, dim, rank, mu)
+        expected = [kron_dykstra(j, dim) for j in js]
+        for k in (1, 3, 16):
+            out, converged, rounds = tomography._project_cptp(js[:k], dim)
+            assert converged.all() and (rounds >= 1).all()
+            for i in range(k):
+                assert np.array_equal(out[i], expected[i][0])
+
+    def test_norms_equal_frobenius_norm(self, rng):
+        stack = rng.normal(size=(5, 16, 16)) + 1j * rng.normal(size=(5, 16, 16))
+        for sub in (stack, stack[1::2], stack[[4, 0]]):
+            assert np.array_equal(tomography._norms(sub), [frobenius_norm(m) for m in sub])
+
+    def test_round_cap_freezes_each_trial(self, request, monkeypatch, caplog):
+        js = raw_choi_stack(request, 4, 4, 0.15)
+        _, _, rounds = tomography._project_cptp(js, 4)
+        cap = int(np.median(rounds))
+        monkeypatch.setattr(tomography, "_MAX_ROUNDS", cap)
+        caplog.clear()
+        out, converged, capped_rounds = tomography._project_cptp(js, 4)
+        warnings = [r.getMessage() for r in caplog.records if "round cap" in r.getMessage()]
+        n_capped = int(np.count_nonzero(~converged))
+        assert 0 < n_capped < len(js)
+        assert np.array_equal(capped_rounds, np.minimum(rounds, cap))
+        assert warnings == [f"refinement of {n_capped} of {len(js)} trials stopped at the "
+                            f"{cap}-round cap"]
+        for i, j in enumerate(js):
+            one, one_converged, _ = tomography._project_cptp(j[None], 4)
+            assert np.array_equal(out[i], one[0]) and converged[i] == one_converged[0]
+            want, want_converged = kron_dykstra(j, 4, cap)
+            assert np.array_equal(out[i], want) and converged[i] == want_converged
 
 
 class TestChiMatrix:
@@ -521,6 +578,12 @@ class TestRefinement:
         raw = solve_chi(beta_d2, p)
         with pytest.raises(ValidationError):
             refine_physical(raw, p, beta_d4, set_d2)
+
+    def test_rejects_table_of_other_dim(self, set_d2, set_d4, beta_d4):
+        raw = solve_chi(beta_d4, process_probabilities(make_cnot(), set_d4))
+        p = process_probabilities(parse_channel_spec("dep:0.3", 2), set_d2)
+        with pytest.raises(ValidationError, match="dim mismatch"):
+            refine_physical(raw, p, beta_d4, set_d4)
 
     def test_rejects_non_hermitian_raw(self):
         # a raw estimate that is not Hermitian cannot reach refine_physical:
