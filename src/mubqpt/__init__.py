@@ -30,6 +30,7 @@ from .experiments import (
     concurrence_trace,
     default_channel_suite,
     default_mu_grid,
+    expected_raw_fidelity,
     export_results,
     import_results,
     perturb_probabilities,

@@ -3,11 +3,13 @@
 Measured probabilities are corrupted by a positive additive error,
 p_tilde = p + mu * zeta with zeta uniform on [0, 1), then renormalized
 within each (input, outcome-basis) group. Note the perturbation is a
-bias, not zero-mean noise; it is applied verbatim. Each trial re-solves
-the process matrix from the corrupted tensor and scores it against the
-exact one. Sweeps walk a grid of error amplitudes with a fixed number of
-trials per point and fully deterministic per-trial random streams, so a
-sweep is reproducible bit for bit.
+bias, not zero-mean noise; it is applied verbatim, and
+expected_raw_fidelity gives the exact mean of a raw trial's fidelity
+under it. Each trial re-solves the process matrix from the corrupted
+tensor and scores it against the exact one. Sweeps walk a grid of
+error amplitudes with a fixed number of trials per point and fully
+deterministic per-trial random streams, so a sweep is reproducible bit
+for bit.
 
 Trial t of channel c at noise level m draws from the Philox stream of
 SeedSequence(base_seed, spawn_key=(c, m, t)), the stream trial_rng
@@ -30,6 +32,7 @@ block size.
 from __future__ import annotations
 
 import logging
+import math
 import numbers
 import sys
 import time
@@ -74,6 +77,7 @@ __all__ = [
     "trial_rng",
     "perturb_probabilities",
     "run_trial",
+    "expected_raw_fidelity",
     "default_mu_grid",
     "default_channel_suite",
     "run_sweep",
@@ -323,6 +327,41 @@ def run_trial(
     return TrialResult(chi, process_fidelity(chi_ref, chi))
 
 
+def _irwin_hall_mean(d: int, mu: float) -> float:
+    """a_D(mu) = E[1/(1 + mu S)] for S the sum of D independent uniforms on
+    [0, 1] (the Irwin-Hall law), by Gauss-Legendre quadrature with 20
+    nodes on each unit interval, where the density is a polynomial."""
+    nodes, weights = np.polynomial.legendre.leggauss(20)
+    s = (np.arange(d)[:, None] + (nodes + 1.0) / 2.0).ravel()
+    k = np.arange(d + 1)
+    signs = np.array([(-1) ** i * math.comb(d, i) for i in k], dtype=float)
+    density = (signs * np.clip(s[:, None] - k, 0.0, None) ** (d - 1)).sum(axis=1)
+    density /= math.factorial(d - 1)
+    return float(np.tile(weights / 2.0, d) @ (density / (1.0 + mu * s)))
+
+
+def expected_raw_fidelity(ch: KrausChannel, mub_set: MubSet, mu: float,
+                          beta: BetaMatrix | None = None) -> float:
+    """The exact mean of the raw (unrefined) trial fidelity of `ch` at
+    noise mu, E[F] = a + (1 - a) F_dep with a = a_D(mu) = E[1/(1 + mu S)].
+
+    In a group of D entries the noisy table is (p + mu zeta)/(1 + mu S),
+    S the sum of the group's zeta; the entries are exchangeable, so its
+    mean is a p + (1 - a)/D. The raw score is linear in the table, so its
+    mean is the score of that mean table: a for the exact table, F_dep
+    for the uniform one, the table of the completely depolarizing map.
+    S has the Irwin-Hall(D) law. mu must be a real number in [0, 1].
+    """
+    mu = _check_mu(mu)
+    if beta is None:
+        beta = build_beta(mub_set)
+    exact = process_probabilities(ch, mub_set)
+    uniform = ProbabilityTensor(exact.dim, np.full(exact.values.size, 1.0 / exact.dim))
+    f_dep = process_fidelity(solve_chi(beta, exact), solve_chi(beta, uniform))
+    a = _irwin_hall_mean(exact.dim, mu)
+    return a + (1.0 - a) * f_dep
+
+
 def default_mu_grid(start: float = 0.01, end: float = 0.15, step: float = 0.01) -> list[float]:
     """Inclusive grid of error amplitudes with rounding-clean values, at
     most 10 000 points; the bounds and step must be finite real numbers."""
@@ -443,7 +482,8 @@ def run_sweep(
     Rows and aggregates carry mu as a Python float. Each finished noise
     level is logged at INFO with its trials per second and, with refine,
     the mean and largest projection rounds of its trials and how many of
-    them hit the round cap.
+    them hit the round cap. A projection round is one eigendecomposition
+    of a trial's Choi matrix.
     """
     channels = list(channels)
     if not channels:
@@ -474,7 +514,8 @@ def run_sweep(
         rate = len(channels) * trials / (time.perf_counter() - start)
         if refine:
             logger.info("noise level %g done (%d channels x %d trials, %.0f trials/s; "
-                        "projection rounds mean %.1f, max %d, %d at the round cap)",
+                        "projection rounds (one eigendecomposition each) mean %.1f, max %d, "
+                        "%d at the round cap)",
                         mu, len(channels), trials, rate, rounds.mean(), rounds.max(),
                         np.count_nonzero(~converged))
         else:

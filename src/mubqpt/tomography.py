@@ -20,7 +20,8 @@ reshuffle of S = W+^dag p^T W+ and W+^dag = (I - |I>><<I|/(D+1)) W.
 J is blind to the null(W) gauge of the overcomplete chi, so every
 map-level operation (forward table, applying the map, Kraus extraction,
 refinement) reads J. The physical estimate is the nearest completely
-positive, trace-preserving map in the Frobenius norm of J.
+positive, trace-preserving map in the Frobenius norm of J, found by
+accelerated ascent on the dual of its trace-preserving constraint.
 """
 from __future__ import annotations
 
@@ -71,6 +72,10 @@ logger = logging.getLogger(__name__)
 
 # round cap of the CPTP projection in refine_physical
 _MAX_ROUNDS = 1000
+# Anderson memory of the projection and the ridge of its normal equations, relative to their trace
+_MEMORY = 5
+_RIDGE = 1e-12
+_TINY = np.finfo(float).tiny
 # bounds on the Choi spectrum in extract_kraus: rejection floor, keep threshold
 _KRAUS_FLOOR = 1e-8
 _KRAUS_KEEP = 1e-10
@@ -158,7 +163,8 @@ class BetaMatrix:
 class ChiMatrix:
     """Process matrix over composite projector indices, Hermitian by
     construction: it rejects a largest |M - M^dag| entry above 1e-8 and
-    stores (M + M^dag)/2. `physical` marks positive semidefinite estimates."""
+    stores (M + M^dag)/2. `physical` marks positive semidefinite estimates;
+    `rounds` is the projection rounds of a refined one (None otherwise)."""
 
     dim: int
     matrix: np.ndarray
@@ -167,6 +173,7 @@ class ChiMatrix:
     forward_residual: float | None = None
     tp_max_violation: float | None = None
     converged: bool = True
+    rounds: int | None = None
 
     def __post_init__(self):
         d = _check_dim(self.dim)
@@ -346,44 +353,76 @@ def _norms(stack: np.ndarray) -> np.ndarray:
 
 
 def _project_cptp(x: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dykstra alternation on each Choi matrix J of a (k, D^2, D^2) stack
-    between the trace-preserving affine set Tr_out J = I and the positive
-    cone (eigenvalue clip), always ending on the clip. Trial i stops once
-    a round moves it by at most 1e-12 |J_i|, or at the round cap, and is
-    frozen from then on, so its bits do not depend on the rest of the
-    stack. Returns the projected stack, the per-trial converged mask and
-    the rounds each trial ran; one warning counts the trials that hit
-    the cap."""
+    """The nearest CPTP map to each Choi matrix J of a (k, D^2, D^2)
+    stack, by Anderson-accelerated ascent on the dual of the
+    trace-preserving constraint Tr_out X = I. For a Hermitian D x D
+    multiplier L the optimal positive X is [J - I (x) L]_+, the
+    eigenvalue clip, and G = Tr_out X - I is the dual gradient. Each
+    projection round is one eigendecomposition: it forms V = U sqrt(l_+)
+    and G = Tr_out(V V^dag) - I without X, and a trial stops once
+    |G| <= 1e-12 max(|J|, 1), where X = V V^dag is positive and optimal
+    for L, so that test is the whole optimality residual. Otherwise L moves by
+    type-II Anderson mixing (Walker & Ni 2011) of the plain ascent step
+    L + G/D with the last _MEMORY steps. A stopped trial leaves the stack,
+    so its bits do not depend on the rest of it. Returns the projected
+    stack, the per-trial converged mask and the rounds each trial ran;
+    a trial at the round cap returns the X of its last round, and one
+    warning counts those trials."""
     k = len(x)
     out = np.empty_like(x)
     converged = np.zeros(k, dtype=bool)
     rounds = np.full(k, _MAX_ROUNDS)
     active = np.arange(k)
-    tol = 1e-12 * _norms(x)
+    # |J| >= 1 when Tr_out J = I; the floor keeps the test reachable at J = 0
+    tol = 1e-12 * np.maximum(_norms(x), 1.0)
     diag = np.arange(d)
     eye = np.eye(d)
-    q = np.zeros_like(x)  # Dykstra correction of the cone; the affine one vanishes
+    mult = np.zeros((k, d, d), dtype=complex)  # the multiplier L
+    # real forms of G/D and L + G/D of the last round, and of the last
+    # _MEMORY differences of each (a ring)
+    res_prev = step_prev = np.zeros((k, 2 * d * d))
+    d_res = np.empty((k, _MEMORY, 2 * d * d))
+    d_step = np.empty_like(d_res)
     for n in range(1, _MAX_ROUNDS + 1):
-        x5 = x.reshape(-1, d, d, d, d)
-        y = x.copy()
-        # subtract (Tr_1 J - I)/D from each diagonal block, a (D, k, D, D) view
-        y.reshape(x5.shape)[:, diag, :, diag, :] -= (np.einsum("kijil->kjl", x5) - eye) / d
-        lam, u = np.linalg.eigh(y + q)
-        x_new = (u * np.clip(lam, 0.0, None)[..., None, :]) @ u.conj().swapaxes(-1, -2)
-        q = y + q - x_new
-        done = _norms(x_new - x) <= tol
-        x = x_new
+        z = x.copy()
+        # subtract L from each diagonal block, a (D, k, D, D) view
+        z.reshape(-1, d, d, d, d)[:, diag, :, diag, :] -= mult
+        lam, u = np.linalg.eigh(z)
+        v = u * np.sqrt(np.clip(lam, 0.0, None))[..., None, :]
+        # Tr_out(V V^dag) as one (k, D, D^3) product: row j gathers V[(i, j), r]
+        a = v.reshape(-1, d, d, d * d).swapaxes(1, 2).reshape(-1, d, d**3)
+        grad = a @ a.conj().swapaxes(-1, -2) - eye
+        ok = _norms(grad) <= tol
+        done = ok | (n == _MAX_ROUNDS)
         if done.any():
-            idx = active[done]
-            out[idx], converged[idx], rounds[idx] = x[done], True, n
+            idx, vd = active[done], v[done]
+            out[idx], converged[idx], rounds[idx] = vd @ vd.conj().swapaxes(-1, -2), ok[done], n
             left = ~done
-            active, x, q, tol = active[left], x[left], q[left], tol[left]
+            active, x, tol, mult, grad, res_prev, step_prev, d_res, d_step = (
+                arr[left] for arr in (active, x, tol, mult, grad, res_prev, step_prev, d_res,
+                                      d_step))
             if not active.size:
                 break
-    else:
-        out[active] = x
+        res = grad.view(float).reshape(len(active), -1) / d
+        step = mult.view(float).reshape(len(active), -1) + res
+        if n > 1:
+            slot = (n - 2) % _MEMORY
+            d_res[:, slot], d_step[:, slot] = res - res_prev, step - step_prev
+            f, g = d_res[:, :n - 1], d_step[:, :n - 1]  # n - 1 > _MEMORY slices to _MEMORY
+            gram = f @ f.swapaxes(-1, -2)
+            # ridge the diagonal (a view), floored so that a history of equal
+            # residuals, as on a stretch where X = 0, mixes to the plain step
+            ridge = gram.reshape(len(f), -1)[:, ::f.shape[1] + 1]
+            ridge += _RIDGE * ridge.sum(axis=1, keepdims=True) + _TINY
+            coef = np.linalg.solve(gram, f @ res[..., None])
+            mixed = step - (g.swapaxes(-1, -2) @ coef)[..., 0]
+        else:
+            mixed = step
+        res_prev, step_prev = res, step
+        mult = mixed.view(complex).reshape(-1, d, d)
+    if not converged.all():
         logger.warning("refinement of %d of %d trials stopped at the %d-round cap",
-                       active.size, k, _MAX_ROUNDS)
+                       np.count_nonzero(~converged), k, _MAX_ROUNDS)
     return out, converged, rounds
 
 
@@ -404,16 +443,18 @@ def refine_physical(
     """Nearest CPTP map to chi_raw in the Frobenius norm of the Choi matrix.
 
     The one-trial case of the stacked projection a refined sweep runs per
-    noise level: Dykstra alternation on J = W chi W^dag between the
-    trace-preserving affine set Tr_out J = I and the positive cone
-    (eigenvalue clip), always ending on the clip. It stops once a round
-    moves J by at most 1e-12 |J|, or at the round cap with
-    converged=False. Mapped back by chi = W+ J W+^dag, the result is
-    positive semidefinite and the minimum-norm process matrix of that
-    map, as `solve_chi` gives. The worst |Tr E(P_b) - 1| and the residual
-    |beta chi - p| against the measured table p are recorded, chi_raw's
-    asymmetry is kept. W and W+ come from beta; chi_raw, p and beta must
-    all have the dimension of mub_set.
+    noise level (_project_cptp): Anderson-accelerated ascent on the
+    multiplier of the trace-preserving constraint Tr_out J = I, each
+    round one eigendecomposition of J = W chi W^dag shifted by the
+    multiplier and clipped to its positive part. It stops once
+    |Tr_out J - I| <= 1e-12 max(|J|, 1), or at the round cap with
+    converged=False; `rounds` records the rounds it ran. Mapped back by
+    chi = W+ J W+^dag, the result is positive semidefinite and the
+    minimum-norm process matrix of that map, as `solve_chi` gives. The
+    worst |Tr E(P_b) - 1| and the residual |beta chi - p| against the
+    measured table p are recorded, chi_raw's asymmetry is kept. W and W+
+    come from beta; chi_raw, p and beta must all have the dimension of
+    mub_set.
     """
     d = mub_set.dim
     if chi_raw.dim != d:
@@ -422,13 +463,13 @@ def refine_physical(
         raise ValidationError(f"dim mismatch: p {p.dim}, basis {d}")
     if beta.dim != d:
         raise ValidationError(f"dim mismatch: beta {beta.dim}, basis {d}")
-    h, converged, _ = _refine_stack(beta, chi_raw.matrix[None])
+    h, converged, rounds = _refine_stack(beta, chi_raw.matrix[None])
     h = h[0]
     table = _forward(beta.frame, h, d)  # row b sums Tr(P_s E(P_b)) over each basis
     resid = float(np.linalg.norm(table.ravel() - p.values))
     tp = float(np.abs(table[:, :d].sum(axis=1) - 1.0).max())
     return ChiMatrix(d, h, physical=True, asymmetry=chi_raw.asymmetry, forward_residual=resid,
-                     tp_max_violation=tp, converged=bool(converged[0]))
+                     tp_max_violation=tp, converged=bool(converged[0]), rounds=int(rounds[0]))
 
 
 def _fidelities(ref: np.ndarray, stack: np.ndarray) -> np.ndarray:

@@ -17,6 +17,7 @@ from mubqpt import (
     concurrence_trace,
     default_channel_suite,
     default_mu_grid,
+    expected_raw_fidelity,
     export_results,
     import_results,
     make_cnot,
@@ -31,7 +32,7 @@ from mubqpt import (
     trial_rng,
 )
 from mubqpt import experiments, tomography
-from mubqpt.experiments import _perturb_tables, _stream_filler, _stream_keys
+from mubqpt.experiments import _irwin_hall_mean, _perturb_tables, _stream_filler, _stream_keys
 from mubqpt.tomography import _check_probabilities, _fidelities
 from test_cli import run_cli
 from test_tomography import random_stinespring_channel
@@ -488,7 +489,7 @@ class TestSweep:
             return out
 
         monkeypatch.setattr(experiments, "_refine_stack", record)
-        monkeypatch.setattr(tomography, "_MAX_ROUNDS", 25)
+        monkeypatch.setattr(tomography, "_MAX_ROUNDS", 15)
         with caplog.at_level(logging.INFO, logger="mubqpt.experiments"):
             run_sweep(chans, set_d4, mu_grid=[0.05, 0.15], trials=5, base_seed=2, refine=True,
                       beta=beta_d4)
@@ -497,9 +498,9 @@ class TestSweep:
         for mu, line, (converged, rounds) in zip(("0.05", "0.15"), lines, calls):
             assert len(rounds) == 10
             assert line.startswith(f"noise level {mu} done (2 channels x 5 trials, ")
-            assert line.endswith(f" trials/s; projection rounds mean {rounds.mean():.1f}, "
-                                 f"max {rounds.max()}, {np.count_nonzero(~converged)} "
-                                 "at the round cap)")
+            assert line.endswith(f" trials/s; projection rounds (one eigendecomposition each) "
+                                 f"mean {rounds.mean():.1f}, max {rounds.max()}, "
+                                 f"{np.count_nonzero(~converged)} at the round cap)")
         assert any(np.count_nonzero(~converged) for converged, _ in calls)
 
     def test_rejects_empty_inputs(self, set_d2, beta_d2):
@@ -511,6 +512,54 @@ class TestSweep:
         with pytest.raises(ValidationError):
             run_sweep([parse_channel_spec("dep:0.2", 2)], set_d2, mu_grid=[1.5],
                       beta=beta_d2)
+
+
+class TestExpectedFidelity:
+    @pytest.mark.parametrize("mu", [1e-3, 0.05, 0.15, 0.5, 1.0])
+    def test_irwin_hall_mean_at_two(self, mu):
+        # S is triangular on [0, 2] at D = 2:
+        # a = ((1 + 2 mu) ln(1 + 2 mu) - 2 (1 + mu) ln(1 + mu)) / mu^2
+        closed = ((1 + 2 * mu) * np.log1p(2 * mu) - 2 * (1 + mu) * np.log1p(mu)) / mu**2
+        assert _irwin_hall_mean(2, mu) == pytest.approx(closed, abs=1e-12)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 7])
+    def test_irwin_hall_mean_bounds(self, dim):
+        # a(0) = 1 (the density integrates to one), and 1/(1 + mu S) is
+        # convex in S with E[S] = D/2, so a(mu) >= 1/(1 + mu D/2)
+        assert _irwin_hall_mean(dim, 0.0) == pytest.approx(1.0, abs=1e-14)
+        for mu in (0.05, 0.5, 1.0):
+            assert 1 / (1 + mu * dim / 2) <= _irwin_hall_mean(dim, mu) < 1.0
+
+    @pytest.mark.parametrize("dim", [3, 5, 7])
+    def test_irwin_hall_mean_matches_sampling(self, dim):
+        samples = 1.0 / (1.0 + 0.3 * np.random.default_rng(dim).random((100_000, dim)).sum(axis=1))
+        se = samples.std() / np.sqrt(samples.size)
+        assert abs(_irwin_hall_mean(dim, 0.3) - samples.mean()) <= 5 * se
+
+    @pytest.mark.parametrize("dim,specs", [
+        (4, "dep:0.1,ad:0.4,cnot"), (2, "rank:2"), (3, "rank:3"), (5, "rank:5"),
+    ])
+    def test_raw_sweep_means_follow_the_law(self, request, dim, specs):
+        mub_set = request.getfixturevalue(f"set_d{dim}")
+        beta = request.getfixturevalue(f"beta_d{dim}")
+        chans = sweep_channels(dim, specs)
+        grid, trials = [0.05, 0.15], 400
+        res = run_sweep(chans, mub_set, mu_grid=grid, trials=trials, base_seed=17, beta=beta)
+        aggs = iter(res.aggregates)
+        for mu in grid:
+            for ch in chans:
+                agg = next(aggs)
+                law = expected_raw_fidelity(ch, mub_set, mu, beta)
+                assert abs(agg.mean_fidelity - law) <= 5 * agg.std_fidelity / np.sqrt(trials)
+
+    def test_noise_free_law_and_checks(self, set_d2, beta_d2):
+        ch = parse_channel_spec("ad:0.4", 2)
+        assert expected_raw_fidelity(ch, set_d2, 0.0, beta_d2) == pytest.approx(1.0, abs=1e-14)
+        assert expected_raw_fidelity(ch, set_d2, 0.1) == expected_raw_fidelity(
+            ch, set_d2, 0.1, beta_d2)
+        for bad in (1.5, -0.1, float("nan"), "0.1", True):
+            with pytest.raises(ValidationError):
+                expected_raw_fidelity(ch, set_d2, bad, beta_d2)
 
 
 class TestConcurrenceTrace:

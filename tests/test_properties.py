@@ -2,7 +2,8 @@
 ValidationError, whatever JSON value the file holds; random CPTP
 channels give normalized probability tables, round-trip through the
 frame solve, and refinement never moves a noisy estimate away from
-them in the Choi norm."""
+them in the Choi norm; the projection kernel converges on random
+stacks of raw estimates to the Dykstra oracle's result."""
 
 import json
 from functools import cache
@@ -33,7 +34,13 @@ from mubqpt import (
     trace_distance,
     trial_rng,
 )
-from test_tomography import choi_of_chi, choi_of_kraus, random_stinespring_channel
+from mubqpt import tomography
+from test_tomography import (
+    assert_cptp_near_oracle,
+    choi_of_chi,
+    choi_of_kraus,
+    random_stinespring_channel,
+)
 
 # keys the loaders look up, so that generated objects reach past the
 # first lookup often enough to exercise the deeper checks
@@ -172,3 +179,24 @@ def test_refinement_never_moves_away_from_true_map(dim, rank, mu, seed):
     raw_dist = np.linalg.norm(choi_of_chi(raw, mub_set) - j_true)
     refined_dist = np.linalg.norm(choi_of_chi(refined, mub_set) - j_true)
     assert refined_dist <= raw_dist + 1e-12 * np.linalg.norm(j_true)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.integers(2, 5), rank_power=st.integers(0, 2), mu=st.floats(0.0, 1.0),
+       k=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_projection_kernel_converges_to_the_oracle(dim, rank_power, mu, k, seed):
+    # each trial of a random stack of raw estimates: at most 40 rounds,
+    # CPTP and at the Dykstra oracle's projection, and the bits of its own
+    # one-trial call
+    mub_set, beta = basis_and_beta(dim)
+    ch = random_stinespring_channel(dim, dim**rank_power, np.random.default_rng(seed))
+    exact = process_probabilities(ch, mub_set)
+    w = beta.frame
+    js = np.stack([w @ solve_chi(beta, perturb_probabilities(exact, mu, trial_rng(seed, 0, 0, t)))
+                   .matrix @ w.conj().T for t in range(k)])
+    out, converged, rounds = tomography._project_cptp(js, dim)
+    assert converged.all() and rounds.max() <= 40
+    for j, x, n in zip(js, out, rounds):
+        one, _, one_rounds = tomography._project_cptp(j[None], dim)
+        assert np.array_equal(x, one[0]) and n == one_rounds[0]
+        assert_cptp_near_oracle(x, j, dim)

@@ -303,8 +303,10 @@ class TestFrameSolve:
 
 
 def kron_dykstra(x, d, max_rounds=1000):
-    """The per-trial Dykstra loop the stacked projection replaced, with
-    its np.kron trace-preserving step: (projected J, converged)."""
+    """The oracle of the CPTP projection: per-trial Dykstra alternation
+    between the trace-preserving affine set, by an np.kron step, and the
+    positive cone, stopping once a round moves J by at most 1e-12 |J|:
+    (projected J, converged)."""
     tol = 1e-12 * np.linalg.norm(x)
     eye = np.eye(d)
     q = np.zeros_like(x)
@@ -323,10 +325,10 @@ def kron_dykstra(x, d, max_rounds=1000):
 def refine_formula(raw, beta):
     """The matrix refine_physical gives, by the formulas it used before
     ChiMatrix owned Hermiticity: its input and its output symmetrized
-    in place."""
+    in place, around the projection kernel's one-trial call."""
     w, dual = beta.frame, beta.dual
     t = raw.matrix
-    x, _ = kron_dykstra(w @ (0.5 * (t + t.conj().T)) @ w.conj().T, beta.dim)
+    x = tomography._project_cptp((w @ (0.5 * (t + t.conj().T)) @ w.conj().T)[None], beta.dim)[0][0]
     chi = dual.conj().T @ x @ dual
     return 0.5 * (chi + chi.conj().T)
 
@@ -343,19 +345,43 @@ def raw_choi_stack(request, dim, rank, mu, k=16):
     return beta.frame @ np.stack(chis) @ beta.frame.conj().T
 
 
+def assert_cptp_near_oracle(out, j, d):
+    """out is CPTP (min eig >= -1e-12 |J|, |Tr_out X - I| <= 1e-10) and
+    within 1e-10 |J| of the Dykstra oracle's projection of j."""
+    scale = np.linalg.norm(j)
+    assert np.linalg.eigvalsh(out)[0] >= -1e-12 * scale
+    assert np.abs(np.einsum("ijil->jl", out.reshape(d, d, d, d)) - np.eye(d)).max() <= 1e-10
+    want, want_converged = kron_dykstra(j, d)
+    assert want_converged and np.linalg.norm(out - want) <= 1e-10 * scale
+
+
 class TestStackedProjection:
-    """The stacked Dykstra kernel against the per-trial np.kron loop."""
+    """The stacked dual-ascent kernel against its own one-trial calls and
+    the per-trial Dykstra oracle."""
 
     @pytest.mark.parametrize("mu", [0.05, 0.15])
     @pytest.mark.parametrize("dim,rank", [(d, r) for d in (2, 3, 4, 5) for r in (d, d * d)])
     def test_equals_per_trial_loop(self, request, dim, rank, mu):
         js = raw_choi_stack(request, dim, rank, mu)
-        expected = [kron_dykstra(j, dim) for j in js]
+        single = [tomography._project_cptp(j[None], dim) for j in js]
         for k in (1, 3, 16):
             out, converged, rounds = tomography._project_cptp(js[:k], dim)
             assert converged.all() and (rounds >= 1).all()
             for i in range(k):
-                assert np.array_equal(out[i], expected[i][0])
+                assert np.array_equal(out[i], single[i][0][0]) and rounds[i] == single[i][2][0]
+        for j, (one, _, _) in zip(js, single):
+            assert_cptp_near_oracle(one[0], j, dim)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_negative_input_crosses_the_flat_dual_stretch(self, dim):
+        # while J - I (x) L has no positive eigenvalue, X = 0 and the dual
+        # gradient -I does not change, so the Anderson history is all zeros;
+        # the projection of -c I, c >= 0, is the completely depolarizing map
+        # I/D (at c = 0 the stopping test needs its floor)
+        js = np.stack([-c * np.eye(dim * dim, dtype=complex) for c in (0.0, 1.0, 5.0)])
+        out, converged, _ = tomography._project_cptp(js, dim)
+        assert converged.all()
+        assert np.abs(out - np.eye(dim * dim) / dim).max() <= 1e-12
 
     def test_norms_equal_frobenius_norm(self, rng):
         stack = rng.normal(size=(5, 16, 16)) + 1j * rng.normal(size=(5, 16, 16))
@@ -378,8 +404,6 @@ class TestStackedProjection:
         for i, j in enumerate(js):
             one, one_converged, _ = tomography._project_cptp(j[None], 4)
             assert np.array_equal(out[i], one[0]) and converged[i] == one_converged[0]
-            want, want_converged = kron_dykstra(j, 4, cap)
-            assert np.array_equal(out[i], want) and converged[i] == want_converged
 
 
 class TestChiMatrix:
@@ -572,6 +596,17 @@ class TestRefinement:
         assert not out.converged
         assert np.linalg.eigvalsh(out.matrix)[0] >= -1e-10  # ends on the clip
         assert "round cap" in caplog.text
+
+    def test_records_projection_rounds(self, set_d4, beta_d4):
+        exact = process_probabilities(parse_channel_spec("ad:0.4", 4), set_d4)
+        noisy = perturb_probabilities(exact, 0.1, trial_rng(8, 0, 0, 0))
+        raw = solve_chi(beta_d4, noisy)
+        assert raw.rounds is None
+        out = refine_physical(raw, noisy, beta_d4, set_d4)
+        w = beta_d4.frame
+        _, _, rounds = tomography._project_cptp((w @ raw.matrix @ w.conj().T)[None], 4)
+        assert type(out.rounds) is int and out.rounds == rounds[0] > 1
+        assert "rounds" not in tomography.chi_to_json(out)
 
     def test_rejects_beta_of_other_dim(self, set_d2, beta_d2, beta_d4):
         p = process_probabilities(parse_channel_spec("dep:0.3", 2), set_d2)
